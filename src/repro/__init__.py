@@ -81,6 +81,7 @@ from .flash import (
     IOStats,
     LatencyConfig,
     PhysicalAddress,
+    TappedFlashDevice,
     paper_configuration,
     simulation_configuration,
 )
@@ -93,15 +94,12 @@ from .obs import (
     EventTrace,
     MetricsRecorder,
     ObsSpec,
-    ObservedFlashDevice,
-    ObservedTimedFlashDevice,
     Observer,
     SweepProgress,
 )
 from .timing import (
     DEVICE_PRESETS,
     LatencySketch,
-    TimedFlashDevice,
     TimingModel,
     TimingSpec,
 )
@@ -155,8 +153,6 @@ __all__ = [
     "MixedReadWrite",
     "MuFTL",
     "ObsSpec",
-    "ObservedFlashDevice",
-    "ObservedTimedFlashDevice",
     "Observer",
     "OpKind",
     "OpStream",
@@ -175,8 +171,8 @@ __all__ = [
     "SweepPlan",
     "SweepProgress",
     "SweepTask",
+    "TappedFlashDevice",
     "TenantMix",
-    "TimedFlashDevice",
     "TimingModel",
     "TimingSpec",
     "TraceFormatError",

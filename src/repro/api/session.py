@@ -30,14 +30,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..flash.config import DeviceConfig, simulation_configuration
-from ..flash.device import FlashDevice
+from ..flash.device import FlashDevice, TappedFlashDevice
 from ..flash.stats import IOPurpose, IOStats
 from ..ftl.base import PageMappedFTL
 from ..ftl.operations import BatchResult, Operation
-from ..obs.device import ObservedFlashDevice, ObservedTimedFlashDevice
 from ..obs.recorder import Observer
 from ..obs.spec import ObsSpec
-from ..timing.device import TimedFlashDevice
 from ..timing.model import TimingModel
 from ..timing.spec import TimingSpec
 from ..workloads.base import RunResult, Workload, WorkloadRunner, fill_device
@@ -156,7 +154,7 @@ class SimulationSession:
         :class:`TimingSpec`, a preset/shorthand string (``"slc"``,
         ``"mlc(channels=8)"``) or a spec dict. When given (and ``device``
         is a config or ``None``) the session builds a
-        :class:`TimedFlashDevice` and every flash operation is sequenced
+        :class:`TappedFlashDevice` and every flash operation is sequenced
         onto the virtual clock; :meth:`latency_summary` then reports
         p50/p99/p999 and throughput. When omitted the session uses the
         plain :class:`FlashDevice` fast paths with zero timing overhead.
@@ -164,12 +162,13 @@ class SimulationSession:
         Optional observability capture: an :class:`Observer`, an
         :class:`ObsSpec`, a preset/shorthand string (``"trace"``,
         ``"metrics(sample_every=250)"``, ``"full"``), a spec dict, or
-        ``True`` for the full default. When given (and ``device`` is a
-        config or ``None``) the session builds an observed device variant
-        so every flash operation also feeds the event trace and/or the
-        metrics recorder; :attr:`obs` then exposes them. When omitted the
-        plain device classes are used — zero observability overhead, the
-        same structural guarantee as ``timing=``.
+        ``True`` for the full default (``False`` means off, like
+        ``None``). When given (and ``device`` is a config or ``None``) the
+        session builds a :class:`TappedFlashDevice` so every flash
+        operation also feeds the event trace and/or the metrics recorder;
+        :attr:`obs` then exposes them. When omitted the plain device is
+        used — zero observability overhead, the same structural guarantee
+        as ``timing=``.
     """
 
     def __new__(cls, ftl: Any = "GeckoFTL", device: Any = None,
@@ -203,34 +202,26 @@ class SimulationSession:
                             Dict[str, Any], bool, None] = None) -> None:
         if timing is not None and not isinstance(timing, TimingModel):
             timing = TimingModel(timing)
-        if obs is not None and not isinstance(obs, Observer):
+        if obs is False:
+            obs = None
+        elif obs is not None and not isinstance(obs, Observer):
             obs = Observer(ObsSpec.of(obs))
         if device is None or isinstance(device, DeviceConfig):
             config = (device if isinstance(device, DeviceConfig)
                       else simulation_configuration())
-            if obs is not None:
-                self.device = (
-                    ObservedFlashDevice(config, obs=obs) if timing is None
-                    else ObservedTimedFlashDevice(config, timing=timing,
-                                                  obs=obs))
-            else:
-                self.device = (FlashDevice(config) if timing is None
-                               else TimedFlashDevice(config, timing=timing))
+            self.device = (
+                FlashDevice(config) if timing is None and obs is None
+                else TappedFlashDevice(config, timing=timing, obs=obs))
         elif isinstance(device, FlashDevice):
-            device_timing = getattr(device, "timing", None)
-            if timing is not None and device_timing is not timing:
-                raise ValueError(
-                    "timing= conflicts with the ready-made device; pass a "
-                    "TimedFlashDevice carrying the desired timing model (or "
-                    "a DeviceConfig and let the session build one)")
-            timing = device_timing
-            device_obs = getattr(device, "obs", None)
-            if obs is not None and device_obs is not obs:
-                raise ValueError(
-                    "obs= conflicts with the ready-made device; pass an "
-                    "ObservedFlashDevice carrying the desired observer (or "
-                    "a DeviceConfig and let the session build one)")
-            obs = device_obs
+            for name, wanted in (("timing", timing), ("obs", obs)):
+                if wanted is not None \
+                        and wanted is not getattr(device, name, None):
+                    raise ValueError(
+                        f"{name}= conflicts with the ready-made device; pass "
+                        f"a TappedFlashDevice carrying the desired {name} "
+                        "(or a DeviceConfig and let the session build one)")
+            timing = getattr(device, "timing", None)
+            obs = getattr(device, "obs", None)
             self.device = device
         else:
             raise TypeError("device must be a DeviceConfig or FlashDevice, "

@@ -46,8 +46,8 @@ The twelve benchmarks:
     (``slc`` preset) — pins the cost of per-op timing capture and the
     latency-sketch summary on top of the untimed path.
 ``obs_overhead``
-    ``device_fill`` again through :class:`~repro.obs.device.
-    ObservedFlashDevice` with the full observability preset on — pins the
+    ``device_fill`` again through a :class:`~repro.flash.device.
+    TappedFlashDevice` with the full observability preset on — pins the
     cost of per-op event tracing plus metrics sampling, and the ratio
     against ``device_fill`` is the measured overhead of ``repro.obs``.
 ``store_append``
@@ -425,7 +425,7 @@ def _bench_latency_sweep(quick: bool) -> PreparedBench:
 
     Identical task to ``sweep_cell`` plus ``timing="slc"``, so the ratio
     between the two records is the measured overhead of per-op timing
-    capture (TimedFlashDevice overrides + sketch recording).
+    capture (TappedFlashDevice clock tap + sketch recording).
     """
     from ..engine.executor import execute_task
     from ..engine.plan import SweepTask, device_dict
@@ -450,24 +450,25 @@ def _bench_latency_sweep(quick: bool) -> PreparedBench:
 
 
 def _bench_obs_overhead(quick: bool) -> PreparedBench:
-    """``device_fill`` through an observed device with full obs enabled.
+    """``device_fill`` through a tapped device with full obs enabled.
 
     Identical geometry and write loop to ``device_fill``, but every page
-    program flows through ``_ObservedOps.write_page_tagged`` — trace append
-    plus the metrics sampling check — so the throughput gap between the two
-    records is the per-op cost of the observability layer when *enabled*.
-    (When disabled the observed classes are never constructed, so the cost
-    is structurally zero; ``device_fill`` itself guards that side.)
+    program flows through ``TappedFlashDevice.write_page_tagged`` into the
+    observer tap — trace append plus the metrics sampling check — so the
+    throughput gap between the two records is the per-op cost of the
+    observability layer when *enabled*. (When disabled the tapped device is
+    never constructed, so the cost is structurally zero; ``device_fill``
+    itself guards that side.)
     """
     from ..flash.address import PhysicalAddress
     from ..flash.config import simulation_configuration
+    from ..flash.device import TappedFlashDevice
     from ..obs import Observer, ObsSpec
-    from ..obs.device import ObservedFlashDevice
 
     config = (simulation_configuration(num_blocks=256, pages_per_block=32)
               if quick else
               simulation_configuration(num_blocks=2048, pages_per_block=64))
-    device = ObservedFlashDevice(config, obs=Observer(ObsSpec.of("full")))
+    device = TappedFlashDevice(config, obs=Observer(ObsSpec.of("full")))
     num_blocks = config.num_blocks
     pages_per_block = config.pages_per_block
 

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from ..flash.address import PhysicalAddress
 from ..flash.block import _intern_block_type
-from ..flash.device import FlashDevice
+from ..flash.device import FlashDevice, is_plain_device
 from ..flash.errors import ReadFreePageError
 from ..flash.stats import IOPurpose
 from ..ftl.block_manager import BlockManager, BlockType
@@ -134,14 +134,10 @@ class FlashGeckoStorage(GeckoStorage):
         self.block_manager = block_manager
         self._reads = 0
         self._writes = 0
-        # Same method-identity gating as PageMappedFTL._plain_device: a
-        # device subclass that intercepts page IO (timing, observability)
-        # must see every operation, so only a plain FlashDevice takes the
-        # inlined paths below.
-        self._plain = (type(device).write_page_tagged
-                       is FlashDevice.write_page_tagged
-                       and type(device).read_page_data
-                       is FlashDevice.read_page_data)
+        # Same gating as PageMappedFTL._plain_device: a tapped device
+        # (timing, observability) must see every operation, so only a plain
+        # FlashDevice takes the inlined paths below.
+        self._plain = is_plain_device(device)
 
     def allocate(self) -> PhysicalAddress:
         return self.block_manager.allocate_page(BlockType.VALIDITY)

@@ -16,7 +16,12 @@ from .config import (
     paper_configuration,
     simulation_configuration,
 )
-from .device import FlashDevice, FlashSnapshot
+from .device import (
+    FlashDevice,
+    FlashSnapshot,
+    TappedFlashDevice,
+    is_plain_device,
+)
 from .errors import (
     BlockWornOutError,
     ConfigurationError,
@@ -57,7 +62,9 @@ __all__ = [
     "ReadFreePageError",
     "SpareAreaImmutableError",
     "SpareArea",
+    "TappedFlashDevice",
     "WriteToNonFreePageError",
+    "is_plain_device",
     "paper_configuration",
     "simulation_configuration",
 ]

@@ -23,6 +23,10 @@ top of the same columns:
   ``read_page_record``, ``read_spare_logical``) that move the decomposed
   column values directly, skipping value-object materialization. The FTL
   read/write/GC hot loops use these.
+
+:class:`TappedFlashDevice` is the one subclass: it feeds every charged
+operation to the timing clock and/or the observer, and
+:func:`is_plain_device` tells callers when inlining the primitives is sound.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .errors import (
     WriteToNonFreePageError,
 )
 from .page import FlashPage, SpareArea
-from .stats import IOPurpose, IOStats
+from .stats import IOKind, IOPurpose, IOStats
 
 
 class _BlockSnapshot:
@@ -273,23 +277,7 @@ class FlashDevice:
         page writes charged to ``purpose`` — and the column stores collapse
         into one slice assignment each. Returns the write timestamp of the
         *first* page of the run (page ``i`` holds ``returned + i``).
-
-        Subclasses that intercept ``write_page_tagged`` (timing, observability)
-        are automatically routed through the per-page path so their capture
-        hooks keep seeing every program operation.
         """
-        if type(self).write_page_tagged is not FlashDevice.write_page_tagged:
-            block = self.block(block_id)
-            first = None
-            for index, logical in enumerate(logicals):
-                data = datas[index] if datas is not None else None
-                timestamp = self.write_page_tagged(
-                    PhysicalAddress(block_id, block.next_free_offset),
-                    data, logical=logical if logical >= 0 else None,
-                    block_type=block_type, purpose=purpose)
-                if first is None:
-                    first = timestamp
-            return first if first is not None else self._write_clock
         if not 0 <= block_id < self._num_blocks:
             raise InvalidAddressError(f"block {block_id} out of range")
         block = self.blocks[block_id]
@@ -408,3 +396,132 @@ class FlashDevice:
         """
         self.restore_flash_state(self.snapshot_flash_state())
         return self
+
+
+#: Every charged flash operation runs through one of these primitives
+#: (``write_page`` and the GC/recovery helpers funnel into them).
+_CHARGED_PRIMITIVES = ("read_page", "read_page_data", "read_page_record",
+                       "write_page_tagged", "write_pages_tagged",
+                       "read_spare", "read_spare_logical", "erase_block")
+
+
+def is_plain_device(device: FlashDevice) -> bool:
+    """Whether ``device`` runs :class:`FlashDevice`'s own charged primitives.
+
+    The FTL submit and GC-migration fast paths and Gecko's page storage
+    inline those primitives, which is only sound when no subclass override
+    (such as :class:`TappedFlashDevice`) needs to see every operation.
+    Method identity is the test, so it is evaluated once, at construction.
+    """
+    cls = type(device)
+    return all(getattr(cls, name) is getattr(FlashDevice, name)
+               for name in _CHARGED_PRIMITIVES)
+
+
+_PAGE_READ, _PAGE_WRITE = IOKind.PAGE_READ, IOKind.PAGE_WRITE
+_SPARE_READ, _BLOCK_ERASE = IOKind.SPARE_READ, IOKind.BLOCK_ERASE
+
+
+class TappedFlashDevice(FlashDevice):
+    """A flash device whose every charged operation also feeds its taps.
+
+    The taps are an optional virtual clock (a
+    :class:`~repro.timing.model.TimingModel`, hooked by its ``record``) and
+    an optional observer (an :class:`~repro.obs.recorder.Observer`, hooked
+    by its ``on_flash_op``); both take ``(kind, block, purpose)``. They
+    arrive ready-built — :class:`~repro.api.session.SimulationSession`
+    turns specs into them. Each override runs the plain primitive, then
+    every tap in order: the clock first, the observer last, so the metrics
+    recorder sees an operation only after the clock has advanced and its
+    windowed latency percentiles stay consistent with the window's ops.
+
+    The device stays IO-trace identical to the plain one (same stats, same
+    flash state, same exceptions) and merely watches the stream. The plain
+    :class:`FlashDevice` carries no tap slot and no hook check, so
+    simulations without taps keep the exact fast paths.
+    """
+
+    __slots__ = ("timing", "obs", "_taps")
+
+    def __init__(self, config: DeviceConfig,
+                 stats: Optional[IOStats] = None, *,
+                 timing: Any = None, obs: Any = None) -> None:
+        super().__init__(config, stats)
+        self.timing = timing
+        self.obs = obs
+        taps = []
+        if timing is not None:
+            taps.append(timing.record)
+        if obs is not None:
+            taps.append(obs.on_flash_op)
+            obs.bind_device(self)
+        self._taps = tuple(taps)
+
+    def read_page(self, address: PhysicalAddress,
+                  purpose: IOPurpose = IOPurpose.OTHER) -> FlashPage:
+        page = FlashDevice.read_page(self, address, purpose)
+        for tap in self._taps:
+            tap(_PAGE_READ, address.block, purpose)
+        return page
+
+    def read_page_data(self, address: PhysicalAddress,
+                       purpose: IOPurpose = IOPurpose.OTHER) -> Any:
+        data = FlashDevice.read_page_data(self, address, purpose)
+        for tap in self._taps:
+            tap(_PAGE_READ, address.block, purpose)
+        return data
+
+    def read_page_record(self, address: PhysicalAddress,
+                         purpose: IOPurpose = IOPurpose.OTHER
+                         ) -> Tuple[Any, Optional[int]]:
+        record = FlashDevice.read_page_record(self, address, purpose)
+        for tap in self._taps:
+            tap(_PAGE_READ, address.block, purpose)
+        return record
+
+    def write_page_tagged(self, address: PhysicalAddress, data: Any = None,
+                          logical: Optional[int] = None,
+                          block_type: Optional[str] = None,
+                          payload: Optional[dict] = None,
+                          purpose: IOPurpose = IOPurpose.OTHER) -> int:
+        timestamp = FlashDevice.write_page_tagged(
+            self, address, data, logical, block_type, payload, purpose)
+        for tap in self._taps:
+            tap(_PAGE_WRITE, address.block, purpose)
+        return timestamp
+
+    def write_pages_tagged(self, block_id: int, logicals,
+                           datas: Optional[List[Any]] = None,
+                           block_type: Optional[str] = None,
+                           purpose: IOPurpose = IOPurpose.OTHER) -> int:
+        """The batch path, programmed page by page so the taps see each."""
+        block = self.block(block_id)
+        first = self._write_clock + 1
+        for index, logical in enumerate(logicals):
+            self.write_page_tagged(
+                PhysicalAddress(block_id, block.next_free_offset),
+                datas[index] if datas is not None else None,
+                logical=logical if logical >= 0 else None,
+                block_type=block_type, purpose=purpose)
+        return first
+
+    def read_spare(self, address: PhysicalAddress,
+                   purpose: IOPurpose = IOPurpose.OTHER) -> SpareArea:
+        spare = FlashDevice.read_spare(self, address, purpose)
+        for tap in self._taps:
+            tap(_SPARE_READ, address.block, purpose)
+        return spare
+
+    def read_spare_logical(self, address: PhysicalAddress,
+                           purpose: IOPurpose = IOPurpose.OTHER
+                           ) -> Optional[int]:
+        logical = FlashDevice.read_spare_logical(self, address, purpose)
+        for tap in self._taps:
+            tap(_SPARE_READ, address.block, purpose)
+        return logical
+
+    def erase_block(self, block_id: int,
+                    purpose: IOPurpose = IOPurpose.OTHER) -> None:
+        FlashDevice.erase_block(self, block_id, purpose)
+        for tap in self._taps:
+            tap(_BLOCK_ERASE, block_id, purpose)

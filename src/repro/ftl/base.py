@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..flash.address import LogicalAddress, PhysicalAddress
 from ..flash.block import _intern_block_type
 from ..flash.config import DeviceConfig
-from ..flash.device import FlashDevice
+from ..flash.device import FlashDevice, is_plain_device
 from ..flash.errors import ReadFreePageError
 from ..flash.stats import IOPurpose, IOStats
 from .block_manager import BlockManager, BlockType
@@ -96,18 +96,16 @@ class PageMappedFTL:
             free_block_threshold=free_block_threshold)
         self.wear_leveler: Optional[WearLeveler] = (
             WearLeveler(device) if enable_wear_leveling else None)
-        # Discovered, not injected: only TimedFlashDevice carries a ``timing``
-        # slot, so FTLs on a plain device see None and every timing branch
-        # below stays a single predictable ``is not None`` check.
+        # Discovered, not injected: only TappedFlashDevice carries a
+        # ``timing`` slot, so FTLs on a plain device see None and every
+        # timing branch below stays a single predictable ``is not None``
+        # check.
         self.timing = getattr(device, "timing", None)
-        # Device subclasses that intercept write_page_tagged (timing,
-        # observability) must keep seeing every program operation, so the
-        # inlined submit/GC-migration fast paths are enabled only on the
-        # plain device. Method identity is the discovery mechanism here too.
-        self._plain_device = (type(device).write_page_tagged
-                              is FlashDevice.write_page_tagged)
-        # Same discovery idiom for the observability layer: only the observed
-        # device variants carry an ``obs`` slot. By this point every hooked
+        # A tapped device must keep seeing every flash operation, so the
+        # inlined submit/GC-migration fast paths run only on a plain one.
+        self._plain_device = is_plain_device(device)
+        # Same discovery idiom for the observability layer: only the tapped
+        # device carries an ``obs`` slot. By this point every hooked
         # structure (garbage collector, validity store — hence GeckoFTL's
         # ``gecko`` — and the cache) exists, so the observer can wire itself
         # into all of them at once.
@@ -272,15 +270,15 @@ class PageMappedFTL:
         consecutive operations of the same kind are grouped into *runs* by a
         single scan (bulk list slicing), so the kind dispatch is paid once
         per run instead of once per op. On a plain :class:`FlashDevice`
-        without a timing model, the write-run handler additionally inlines
+        (no taps), the write-run handler additionally inlines
         the whole program-and-map sequence — active-block cursor, packed
         state-word set, column stores, write clock, BVC bump and IO
         accounting are poked directly instead of through five method calls
         per page. Mapping updates keep their exact per-op interleaving with
         flash IO (cache evictions and translation synchronization happen at
         precisely the same points), which is what keeps the submit goldens
-        bit-identical. Devices that intercept ``write_page_tagged`` (timing,
-        observability) take the per-op path so their capture hooks see every
+        bit-identical. A :class:`~repro.flash.device.TappedFlashDevice`
+        (timing, observability) takes the per-op path so its taps see every
         program operation.
         """
         stats = self.stats
@@ -302,7 +300,7 @@ class PageMappedFTL:
         device = self.device
         user_purpose = IOPurpose.USER
         write_kind, read_kind, trim_kind = OpKind.WRITE, OpKind.READ, OpKind.TRIM
-        fast = self._plain_device and timing is None
+        fast = self._plain_device
         if fast:
             blocks = device.blocks
             block_manager = self.block_manager

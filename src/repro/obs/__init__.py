@@ -3,8 +3,9 @@
 The package follows the same zero-overhead-when-disabled discipline as
 :mod:`repro.timing`: the plain :class:`~repro.flash.device.FlashDevice` and
 the FTLs carry no hook checks — a simulation that wants observability
-builds an :class:`ObservedFlashDevice` (or passes ``obs=`` to
-:class:`~repro.api.session.SimulationSession`) and everything wires itself
+builds a :class:`~repro.flash.device.TappedFlashDevice` with an
+:class:`Observer` as its ``obs=`` tap (or passes ``obs=`` to
+:class:`~repro.api.session.SimulationSession`), and everything wires itself
 in through the same discovery idiom the timing layer uses.
 
 Three capture channels:
@@ -20,7 +21,6 @@ Three capture channels:
   ``on_task`` callback, strictly outside the canonical result rows.
 """
 
-from .device import ObservedFlashDevice, ObservedTimedFlashDevice
 from .events import EventTrace, event_names
 from .recorder import MetricsRecorder, Observer
 from .spec import DEFAULT_SAMPLE_EVERY, DEFAULT_TRACE_CAPACITY, OBS_PRESETS, ObsSpec
@@ -33,8 +33,6 @@ __all__ = [
     "MetricsRecorder",
     "OBS_PRESETS",
     "ObsSpec",
-    "ObservedFlashDevice",
-    "ObservedTimedFlashDevice",
     "Observer",
     "SweepProgress",
     "event_names",

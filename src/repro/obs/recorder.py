@@ -271,7 +271,7 @@ class Observer:
     # Wiring
     # ------------------------------------------------------------------
     def bind_device(self, device) -> None:
-        """Called by the observed device when it adopts this observer."""
+        """Called by the tapped device when it adopts this observer."""
         if self.metrics is not None:
             self.metrics.bind_device(device)
 

@@ -14,11 +14,13 @@ purpose-tagged IO stream (no discrete-event engine):
   an in-flight GC erase inherits its remaining time);
 * :mod:`repro.timing.sketch` — :class:`LatencySketch`: a constant-memory,
   deterministically log-bucketed streaming histogram exposing
-  p50/p99/p999, mean, max and ops/sec;
-* :mod:`repro.timing.device` — :class:`TimedFlashDevice`: the
-  :class:`~repro.flash.device.FlashDevice` subclass that feeds the clock.
-  The base device is untouched, so simulations without timing keep the
-  exact pre-existing fast paths (strictly zero overhead when disabled).
+  p50/p99/p999, mean, max and ops/sec.
+
+A :class:`~repro.flash.device.TappedFlashDevice` built with ``timing=``
+feeds the clock: it calls :meth:`TimingModel.record` after every charged
+flash operation. The plain :class:`~repro.flash.device.FlashDevice` has no
+such tap, so simulations without timing keep the exact pre-existing fast
+paths (strictly zero overhead when disabled).
 
 Enable it through the session front door::
 
@@ -30,7 +32,6 @@ Enable it through the session front door::
         print(session.latency_summary())   # p50/p99/p999, ops/sec, per-kind
 """
 
-from .device import TimedFlashDevice
 from .model import BACKGROUND_PURPOSES, TimingModel
 from .sketch import LatencySketch
 from .spec import DEVICE_PRESETS, TimingSpec
@@ -39,7 +40,6 @@ __all__ = [
     "BACKGROUND_PURPOSES",
     "DEVICE_PRESETS",
     "LatencySketch",
-    "TimedFlashDevice",
     "TimingModel",
     "TimingSpec",
 ]

@@ -150,7 +150,7 @@ class TimingModel:
         return self._depth > 0
 
     # ------------------------------------------------------------------
-    # Operation recording (called by TimedFlashDevice)
+    # Operation recording (called by TappedFlashDevice)
     # ------------------------------------------------------------------
     def record(self, kind: IOKind, block_id: int,
                purpose: IOPurpose) -> None:

@@ -5,7 +5,7 @@ import pytest
 from repro.flash.address import PhysicalAddress
 from repro.flash.block import FlashBlock
 from repro.flash.config import simulation_configuration
-from repro.flash.device import FlashDevice
+from repro.flash.device import FlashDevice, TappedFlashDevice
 from repro.flash.errors import (
     BlockWornOutError,
     InvalidAddressError,
@@ -15,6 +15,7 @@ from repro.flash.errors import (
 )
 from repro.flash.page import PageState, SpareArea
 from repro.flash.stats import IOKind, IOPurpose
+from repro.obs import Observer, ObsSpec
 
 
 @pytest.fixture
@@ -174,6 +175,95 @@ class TestFastPaths:
             device.write_page_tagged(PhysicalAddress(0, 3))
         with pytest.raises(InvalidAddressError):
             device.write_page_tagged(PhysicalAddress(99, 0))
+
+
+class _TapLog:
+    """Stand-in clock and observer that log each tap call in one list."""
+
+    def __init__(self, log, name):
+        self.log, self.name = log, name
+
+    def record(self, kind, block, purpose):
+        self.log.append((self.name, kind, block, purpose))
+
+    on_flash_op = record
+
+    def bind_device(self, device):
+        pass
+
+
+def _block_columns(device, block_id):
+    block = device.blocks[block_id]
+    return (block.next_free_offset, list(block._state_words),
+            list(block._logical), list(block._timestamp),
+            bytes(block._type_code), dict(block._data), dict(block._payload))
+
+
+class TestTappedDevice:
+    """The tapped device feeds its taps without altering the IO stream."""
+
+    @pytest.fixture
+    def config(self):
+        return simulation_configuration(num_blocks=8, pages_per_block=4,
+                                        page_size=256)
+
+    def test_every_primitive_taps_clock_then_observer(self, config):
+        log = []
+        device = TappedFlashDevice(config, timing=_TapLog(log, "timing"),
+                                   obs=_TapLog(log, "obs"))
+        address = PhysicalAddress(1, 0)
+        device.write_page_tagged(address, "d", logical=3,
+                                 purpose=IOPurpose.USER)
+        device.read_page(address, IOPurpose.GC)
+        device.read_page_data(address, IOPurpose.GC)
+        device.read_page_record(address, IOPurpose.GC)
+        device.read_spare(address, IOPurpose.RECOVERY)
+        device.read_spare_logical(address, IOPurpose.RECOVERY)
+        device.erase_block(1, IOPurpose.GC)
+        kinds = [IOKind.PAGE_WRITE] + [IOKind.PAGE_READ] * 3 \
+            + [IOKind.SPARE_READ] * 2 + [IOKind.BLOCK_ERASE]
+        purposes = [IOPurpose.USER] + [IOPurpose.GC] * 3 \
+            + [IOPurpose.RECOVERY] * 2 + [IOPurpose.GC]
+        assert log == [(name, kind, 1, purpose)
+                       for kind, purpose in zip(kinds, purposes)
+                       for name in ("timing", "obs")]
+
+    def test_failed_operation_is_not_tapped(self, config):
+        log = []
+        device = TappedFlashDevice(config, timing=_TapLog(log, "timing"))
+        with pytest.raises(ReadFreePageError):
+            device.read_page_data(PhysicalAddress(0, 0))
+        assert log == []
+
+    def test_batch_write_matches_plain_batch(self, config):
+        log = []
+        observer = Observer(ObsSpec.preset("trace"))
+        tapped = TappedFlashDevice(config, timing=_TapLog(log, "timing"),
+                                   obs=observer)
+        plain = FlashDevice(config)
+        for device in (plain, tapped):
+            device.write_page_tagged(PhysicalAddress(2, 0), "first")
+        run = dict(logicals=[-1, 7, 9], datas=["a", None, "c"],
+                   block_type="user", purpose=IOPurpose.USER)
+        assert tapped.write_pages_tagged(2, **run) \
+            == plain.write_pages_tagged(2, **run) == 2
+        assert tapped.stats.breakdown() == plain.stats.breakdown()
+        assert tapped.write_clock == plain.write_clock == 4
+        assert _block_columns(tapped, 2) == _block_columns(plain, 2)
+        # One clock record and one traced flash event per page of the run.
+        assert log == [("timing", IOKind.PAGE_WRITE, 2, IOPurpose.OTHER)] \
+            + [("timing", IOKind.PAGE_WRITE, 2, IOPurpose.USER)] * 3
+        assert observer.trace.summary()["page_write"] == 4
+
+    def test_empty_batch_write_matches_plain_batch(self, config):
+        log = []
+        tapped = TappedFlashDevice(config, timing=_TapLog(log, "timing"))
+        plain = FlashDevice(config)
+        assert tapped.write_pages_tagged(0, []) \
+            == plain.write_pages_tagged(0, []) == 1
+        assert tapped.stats.breakdown() == plain.stats.breakdown()
+        assert tapped.write_clock == plain.write_clock == 0
+        assert log == []
 
 
 def _snapshot_container_objects(snapshot) -> int:

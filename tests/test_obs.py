@@ -24,6 +24,7 @@ from repro.engine import SweepPlan, run_sweep
 from repro.engine.results import canonical_row_bytes
 from repro.flash.address import PhysicalAddress
 from repro.flash.config import simulation_configuration
+from repro.flash.device import FlashDevice, TappedFlashDevice
 from repro.flash.stats import IOKind, IOPurpose, IOStats
 from repro.ftl.dftl import DFTL
 from repro.obs import (
@@ -32,11 +33,11 @@ from repro.obs import (
     EventTrace,
     MetricsRecorder,
     ObsSpec,
-    ObservedFlashDevice,
     Observer,
     SweepProgress,
     event_names,
 )
+from repro.timing.model import TimingModel
 from repro.timing.sketch import LatencySketch
 from repro.workloads.registry import WorkloadSpec
 
@@ -183,7 +184,7 @@ class TestObsSpec:
 class TestObservedDevice:
     def test_every_charged_write_is_traced(self, tiny_config):
         observer = Observer(ObsSpec.preset("trace"))
-        device = ObservedFlashDevice(tiny_config, obs=observer)
+        device = TappedFlashDevice(tiny_config, obs=observer)
         for page in range(8):
             device.write_page_tagged(PhysicalAddress(0, page), None)
         summary = observer.trace.summary()
@@ -194,7 +195,7 @@ class TestObservedDevice:
     def test_metrics_sampling_threshold(self, tiny_config):
         observer = Observer(ObsSpec(trace=False, metrics=True,
                                     sample_every=10))
-        device = ObservedFlashDevice(tiny_config, obs=observer)
+        device = TappedFlashDevice(tiny_config, obs=observer)
         recorder = observer.metrics
         # Device-level page writes are not host ops, so no row appears...
         for page in range(8):
@@ -219,7 +220,7 @@ class TestObservedDevice:
     def test_csv_and_jsonl_exports(self, tiny_config):
         observer = Observer(ObsSpec(trace=False, metrics=True,
                                     sample_every=5))
-        device = ObservedFlashDevice(tiny_config, obs=observer)
+        device = TappedFlashDevice(tiny_config, obs=observer)
         device.stats.record_host_write(5)
         observer.metrics.sample()
         csv_out, jsonl_out = io.StringIO(), io.StringIO()
@@ -271,15 +272,27 @@ class TestSessionObservability:
             assert session.obs.metrics.rows == []
 
     def test_ready_made_device_conflict(self, tiny_config):
-        device = ObservedFlashDevice(tiny_config,
-                                     obs=Observer(ObsSpec.preset("trace")))
+        device = TappedFlashDevice(tiny_config,
+                                   obs=Observer(ObsSpec.preset("trace")))
         with pytest.raises(ValueError, match="conflicts"):
             SimulationSession("GeckoFTL", device=device, obs="metrics",
                               ftl_kwargs={"cache_capacity": 64})
 
+    def test_obs_false_means_taps_off(self, tiny_config):
+        with SimulationSession("GeckoFTL", device=tiny_config, obs=False,
+                               ftl_kwargs={"cache_capacity": 64}) as session:
+            assert type(session.device) is FlashDevice
+            assert session.obs is None
+        with SimulationSession("GeckoFTL", device=tiny_config, obs=False,
+                               timing="slc",
+                               ftl_kwargs={"cache_capacity": 64}) as session:
+            assert isinstance(session.device, TappedFlashDevice)
+            assert session.device.obs is None
+            assert session.obs is None
+
     def test_ready_made_observed_device_is_discovered(self, tiny_config):
         observer = Observer(ObsSpec.preset("trace"))
-        device = ObservedFlashDevice(tiny_config, obs=observer)
+        device = TappedFlashDevice(tiny_config, obs=observer)
         with SimulationSession("GeckoFTL", device=device,
                                ftl_kwargs={"cache_capacity": 64}) as session:
             assert session.obs is observer
@@ -350,25 +363,32 @@ class TestDeterminismAndInterference:
         other_trace, _ = _observed_exports(24)
         assert first_trace != other_trace
 
-    def test_observed_stats_match_seed_golden(self):
-        """The observed device reproduces the seed goldens byte-for-byte.
+    @pytest.mark.parametrize("taps", ["timing", "obs", "timing+obs"])
+    def test_observed_stats_match_seed_golden(self, taps):
+        """The tapped device reproduces the seed goldens byte-for-byte.
 
         Reuses the exact randomized trace and fingerprint recipe of
-        ``test_flash_equivalence`` with ``ObservedFlashDevice`` (full
-        capture) substituted for ``FlashDevice`` — capture must not perturb
-        a single counter.
+        ``test_flash_equivalence`` with a ``TappedFlashDevice`` substituted
+        for ``FlashDevice`` — under each tap combination (``slc`` clock,
+        full obs capture, both) — capture must not perturb a single counter.
         """
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         for ftl_class, key in ((GeckoFTL, "gecko"), (DFTL, "dftl")):
             config = simulation_configuration(num_blocks=64,
                                               pages_per_block=8,
                                               page_size=256)
-            observer = Observer(ObsSpec(sample_every=100))
-            ftl = ftl_class(ObservedFlashDevice(config, obs=observer),
+            timing = TimingModel("slc") if "timing" in taps else None
+            observer = (Observer(ObsSpec(sample_every=100))
+                        if "obs" in taps else None)
+            ftl = ftl_class(TappedFlashDevice(config, timing=timing,
+                                              obs=observer),
                             cache_capacity=64)
             equivalence.fill_device(ftl)
             ftl.stats.reset()
-            observer.reset_capture()
+            if timing is not None:
+                timing.reset_capture()
+            if observer is not None:
+                observer.reset_capture()
             operations = equivalence._trace(config.logical_pages)
             submitted = 0
             for start in range(0, len(operations), equivalence.BATCH):
@@ -388,8 +408,11 @@ class TestDeterminismAndInterference:
             }
             assert fingerprint == golden[key], key
             # And the capture actually captured the run.
-            assert len(observer.trace) > 0
-            assert len(observer.metrics.rows) > 0
+            if timing is not None:
+                assert timing.requests == equivalence.TRACE_OPS
+            if observer is not None:
+                assert len(observer.trace) > 0
+                assert len(observer.metrics.rows) > 0
 
     def test_obs_does_not_change_timing_or_snapshot(self):
         def run(obs):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import (FlashDevice, SimulationSession, TimedFlashDevice,
+from repro import (FlashDevice, SimulationSession, TappedFlashDevice,
                    TimingModel, TimingSpec, UniformRandomWrites,
                    simulation_configuration)
 
@@ -40,16 +40,16 @@ class TestZeroOverheadWhenDisabled:
             FlashDevice(tiny_config()).timing = object()
 
     def test_timed_methods_are_overrides_not_patches(self):
-        # The plain class's methods are untouched; the timed subclass
+        # The plain class's methods are untouched; the tapped subclass
         # carries its own. This is the structural zero-overhead guarantee.
         for name in ("read_page", "read_page_data", "read_page_record",
                      "write_page_tagged", "read_spare", "read_spare_logical",
                      "erase_block"):
             assert (getattr(FlashDevice, name)
-                    is not getattr(TimedFlashDevice, name))
+                    is not getattr(TappedFlashDevice, name))
         # write_page and peek intentionally delegate / stay uncharged.
-        assert "write_page" not in TimedFlashDevice.__dict__
-        assert "peek" not in TimedFlashDevice.__dict__
+        assert "write_page" not in TappedFlashDevice.__dict__
+        assert "peek" not in TappedFlashDevice.__dict__
 
     def test_plain_row_has_no_latency_columns(self):
         with SimulationSession("GeckoFTL", device=tiny_config()) as session:
@@ -83,12 +83,12 @@ class TestSessionWiring:
         for timing in ("mlc", spec, spec.to_dict(), TimingModel(spec)):
             with SimulationSession("DFTL", device=tiny_config(),
                                    timing=timing) as session:
-                assert isinstance(session.device, TimedFlashDevice)
+                assert isinstance(session.device, TappedFlashDevice)
                 assert session.timing.spec == spec
                 assert session.ftl.timing is session.timing
 
     def test_ready_timed_device_is_adopted(self):
-        device = TimedFlashDevice(tiny_config(), timing="slc")
+        device = TappedFlashDevice(tiny_config(), timing=TimingModel("slc"))
         with SimulationSession("DFTL", device=device) as session:
             assert session.timing is device.timing
 
