@@ -49,9 +49,6 @@ _TRANSLATION_PURPOSE = IOPurpose.TRANSLATION
 _USER_TYPE = BlockType.USER
 _USER_CODE = _intern_block_type(BlockType.USER.value)
 _GC_PURPOSE = IOPurpose.GC
-#: See the same alias in :mod:`repro.ftl.base`: skips the namedtuple
-#: ``__new__`` frame on per-page address minting.
-_new_address = tuple.__new__
 _new_mapping = object.__new__
 
 
@@ -147,7 +144,7 @@ class GeckoFTL(PageMappedFTL):
     # Lazy invalid-page identification (Section 4.1)
     # ------------------------------------------------------------------
     def _update_mapping_on_write(self, logical: LogicalAddress,
-                                 new_address: PhysicalAddress) -> None:
+                                 new_physical: int) -> None:
         """Update the cached mapping without touching the translation table.
 
         On a cache hit the before-image is the cached physical address, so it
@@ -167,15 +164,15 @@ class GeckoFTL(PageMappedFTL):
             # dispatch per host write.
             cache.hits += 1
             entries.move_to_end(logical)
-            old = entry.physical
-            old_block = old[0]
+            old_block, old_page = divmod(entry.physical,
+                                         self._pages_per_block)
             # Inlined ``gecko.record_invalid`` + ``buffer.insert_invalid``:
             # the before-image is a programmed page, so the offset range
             # check is satisfied by construction.
             gecko = self.gecko
             gecko.updates += 1
             buffer = gecko.buffer
-            sub_key, bit = divmod(old[1], buffer._bits_per_slice)
+            sub_key, bit = divmod(old_page, buffer._bits_per_slice)
             key = (old_block << buffer._subkey_bits) | sub_key
             bitmaps = buffer._bitmaps
             current = bitmaps.get(key)
@@ -186,7 +183,7 @@ class GeckoFTL(PageMappedFTL):
             bvc_counts = self.bvc._counts
             if bvc_counts[old_block] > 0:
                 bvc_counts[old_block] -= 1
-            entry.physical = new_address
+            entry.physical = new_physical
             if not entry.dirty:
                 entry.dirty = True
                 cache._dirty_count += 1
@@ -200,7 +197,7 @@ class GeckoFTL(PageMappedFTL):
         # costs more than the six stores.
         entry = _new_mapping(CachedMapping)
         entry.logical = logical
-        entry.physical = new_address
+        entry.physical = new_physical
         entry.dirty = True
         entry.uip = True
         entry.uncertain = False
@@ -292,21 +289,26 @@ class GeckoFTL(PageMappedFTL):
         plain = self._plain_device
         location = gmd[translation_page]
         # Inlined ``read_translation_page`` (same one-charged-read
-        # accounting, private dict copy materialized directly).
+        # accounting, private entry copy materialized directly).
         if location is None:
-            old_entries: Dict[LogicalAddress, PhysicalAddress] = {}
+            page_entries = translation_table.unmapped_entries()
         elif plain:
             read_block = device.blocks[location[0]]
             read_offset = location[1]
             if read_offset >= read_block.next_free_offset:
                 raise ReadFreePageError(f"{location} has not been programmed")
             device.stats.page_read_counts[_TRANSLATION_PURPOSE] += 1
-            old_entries = dict(read_block._data[read_offset].entries)
+            page_entries = read_block._data[read_offset].entries[:]
         else:
-            old_entries = dict(device.read_page_data(
-                location, purpose=_TRANSLATION_PURPOSE).entries)
+            page_entries = device.read_page_data(
+                location, purpose=_TRANSLATION_PURPOSE).entries[:]
 
-        updates: Dict[LogicalAddress, PhysicalAddress] = {}
+        # Every participating entry has a distinct logical page, so folding
+        # each update straight into the copy never hides a before-image
+        # another entry still has to read.
+        synced: List[CachedMapping] = []
+        first_logical = translation_page * translation_table.entries_per_page
+        pages_per_block = self._pages_per_block
         gecko = self.gecko
         buffer = gecko.buffer
         bits_per_slice = buffer._bits_per_slice
@@ -315,21 +317,23 @@ class GeckoFTL(PageMappedFTL):
         buffer_capacity = buffer._capacity
         bvc_counts = self.bvc._counts
         for entry in dirty_entries:
-            old_physical = old_entries.get(entry.logical)
+            slot = entry.logical - first_logical
+            old_physical = page_entries[slot]
             if entry.uncertain:
-                self._resolve_uncertain_entry(entry, old_physical)
+                self._resolve_uncertain_entry(
+                    entry, old_physical if old_physical >= 0 else None)
                 if not entry.dirty:
                     continue
-            elif entry.uip and old_physical is not None \
+            elif entry.uip and old_physical >= 0 \
                     and old_physical != entry.physical:
                 # Inlined ``_invalidate_user_page`` (and, inside it,
                 # ``gecko.record_invalid``): report the identified
                 # before-image to Logarithmic Gecko and clamp the BVC.
                 # This runs once per identified UIP — roughly ten times per
                 # synchronization operation under a random workload.
-                old_block = old_physical[0]
+                old_block, old_page = divmod(old_physical, pages_per_block)
                 gecko.updates += 1
-                sub_key, bit = divmod(old_physical[1], bits_per_slice)
+                sub_key, bit = divmod(old_page, bits_per_slice)
                 key = (old_block << subkey_bits) | sub_key
                 current = bitmaps.get(key)
                 bitmaps[key] = ((1 << bit) if current is None
@@ -339,15 +343,15 @@ class GeckoFTL(PageMappedFTL):
                 if bvc_counts[old_block] > 0:
                     bvc_counts[old_block] -= 1
             entry.uip = False
-            updates[entry.logical] = entry.physical
+            page_entries[slot] = entry.physical
+            synced.append(entry)
 
-        if not updates:
+        if not synced:
             # Every participating entry turned out to be clean: abort the
             # synchronization operation and save the flash write
             # (Appendix C.3.1).
             return
-        old_entries.update(updates)
-        content = TranslationPageContent(translation_page, old_entries)
+        content = TranslationPageContent(translation_page, page_entries)
         if plain:
             # Inlined ``write_translation_page``: allocate the next
             # translation page (metadata may dip into the GC reserve),
@@ -374,26 +378,24 @@ class GeckoFTL(PageMappedFTL):
             block._payload[offset] = {"translation_page_id": translation_page}
             block.next_free_offset = offset + 1
             device.stats.page_write_counts[_TRANSLATION_PURPOSE] += 1
-            gmd[translation_page] = _new_address(PhysicalAddress,
-                                                 (active_id, offset))
+            gmd[translation_page] = PhysicalAddress(active_id, offset)
             if location is not None:
                 self.block_manager.info[
                     location[0]].invalid_metadata_offsets.add(location[1])
         else:
             translation_table.write_translation_page(
                 content, purpose=_TRANSLATION_PURPOSE)
-        for entry in dirty_entries:
-            if entry.logical in updates:
-                entry.in_flash = True
-                if entry.dirty:
-                    entry.dirty = False
-                    # Only a still-cached entry participates in the dirty
-                    # count (an evicted extra_entry does not).
-                    if cache_entries.get(entry.logical) is entry:
-                        cache._dirty_count -= 1
+        for entry in synced:
+            entry.in_flash = True
+            if entry.dirty:
+                entry.dirty = False
+                # Only a still-cached entry participates in the dirty count
+                # (an evicted extra_entry does not).
+                if cache_entries.get(entry.logical) is entry:
+                    cache._dirty_count -= 1
 
     def _resolve_uncertain_entry(self, entry: CachedMapping,
-                                 old_physical: Optional[PhysicalAddress]) -> None:
+                                 old_physical: Optional[int]) -> None:
         """Correct the pessimistic flags of an entry recreated by recovery.
 
         Appendix C.3: if the flash-resident entry already matches, the entry
@@ -414,12 +416,13 @@ class GeckoFTL(PageMappedFTL):
             return
         if old_physical is not None:
             tagged_logical = self.device.read_spare_logical(
-                old_physical, purpose=IOPurpose.VALIDITY)
+                PhysicalAddress(*divmod(old_physical, self._pages_per_block)),
+                purpose=IOPurpose.VALIDITY)
             if tagged_logical == entry.logical:
                 self._invalidate_user_page(old_physical)
         entry.uip = False
 
-    def _invalidate_user_page(self, address: PhysicalAddress) -> None:
+    def _invalidate_user_page(self, physical: int) -> None:
         """Report a before-image to Logarithmic Gecko and the BVC.
 
         The BVC can transiently drift during the post-recovery correction
@@ -427,14 +430,15 @@ class GeckoFTL(PageMappedFTL):
         2-byte hardware counter would do and never affects victim choice
         meaningfully.
         """
-        self.validity_store.mark_invalid(address)
-        if self.bvc.valid_count(address.block) > 0:
-            self.bvc.decrement(address.block)
+        block_id, offset = divmod(physical, self._pages_per_block)
+        self.gecko.record_invalid(block_id, offset)
+        if self.bvc.valid_count(block_id) > 0:
+            self.bvc.decrement(block_id)
 
     # ------------------------------------------------------------------
     # Garbage collection: UIP check before migration
     # ------------------------------------------------------------------
-    def _migrate_user_page(self, old_address: PhysicalAddress) -> None:
+    def _migrate_user_page(self, old_physical: int) -> None:
         """Migrate a page only after verifying it is the current copy.
 
         The paper's check (Section 4.1): read the spare area, and if the
@@ -456,7 +460,7 @@ class GeckoFTL(PageMappedFTL):
         """
         if self._plain_device:
             # Inlined read_spare_logical (same accounting, no call chain).
-            block_id, offset = old_address
+            block_id, offset = divmod(old_physical, self._pages_per_block)
             block = self.device.blocks[block_id]
             self.device.stats.spare_read_counts[IOPurpose.GC] += 1
             logical = None
@@ -465,26 +469,28 @@ class GeckoFTL(PageMappedFTL):
                 if tag >= 0:
                     logical = tag
         else:
-            logical = self.device.read_spare_logical(old_address,
-                                                     purpose=IOPurpose.GC)
+            logical = self.device.read_spare_logical(
+                PhysicalAddress(*divmod(old_physical, self._pages_per_block)),
+                purpose=IOPurpose.GC)
         cached = (self.cache._entries.get(logical)
                   if logical is not None else None)
         if cached is not None:
-            if cached.physical != old_address:
+            if cached.physical != old_physical:
                 # Stale copy (an unidentified invalid page). It is about to be
                 # erased with the victim block, so also clear the UIP flag:
                 # reporting it later would be stale and could mark a reused
                 # page slot as invalid.
                 cached.uip = False
                 return
-            super()._migrate_user_page(old_address)
+            super()._migrate_user_page(old_physical)
             return
         if self._plain_device:
             # Inlined ``translation_table.lookup`` (same one-charged-read
             # accounting): almost every migrated page misses the small cache,
             # so this probe runs once per migration.
             table = self.translation_table
-            location = table.gmd[logical // table.entries_per_page]
+            entries_per_page = table.entries_per_page
+            location = table.gmd[logical // entries_per_page]
             if location is None:
                 flash_mapping = None
             else:
@@ -494,14 +500,14 @@ class GeckoFTL(PageMappedFTL):
                         f"{location} has not been programmed")
                 self.device.stats.page_read_counts[IOPurpose.GC] += 1
                 flash_mapping = read_block._data[
-                    location[1]].entries.get(logical)
+                    location[1]].entries[logical % entries_per_page]
         else:
             flash_mapping = self.translation_table.lookup(
                 logical, purpose=IOPurpose.GC)
-        if flash_mapping != old_address:
+        if flash_mapping != old_physical:
             # Unrecorded stale copy; skip it and let the erase reclaim it.
             return
-        super()._migrate_user_page(old_address)
+        super()._migrate_user_page(old_physical)
 
     def _migrate_user_pages(self, victim: int, offsets: List[int]) -> None:
         """Batch form of :meth:`_migrate_user_page` for one victim block.
@@ -518,9 +524,7 @@ class GeckoFTL(PageMappedFTL):
         if not self._plain_device or \
                 type(self)._migrate_user_page \
                 is not GeckoFTL._migrate_user_page:
-            migrate = self._migrate_user_page
-            for offset in offsets:
-                migrate(PhysicalAddress(victim, offset))
+            super()._migrate_user_pages(victim, offsets)
             return
         device = self.device
         blocks = device.blocks
@@ -533,6 +537,7 @@ class GeckoFTL(PageMappedFTL):
         victim_logical = victim_block._logical
         victim_data = victim_block._data
         pages_per_block = victim_block.pages_per_block
+        victim_first = victim * pages_per_block
         cache = self.cache
         cache_entries = cache._entries
         by_translation_page = cache._by_translation_page
@@ -556,8 +561,7 @@ class GeckoFTL(PageMappedFTL):
             cached = (cache_entries.get(logical)
                       if logical is not None else None)
             if cached is not None:
-                physical = cached.physical
-                if physical[0] != victim or physical[1] != offset:
+                if cached.physical != victim_first + offset:
                     # Stale copy (unidentified invalid page): skip, and
                     # clear the UIP flag — the copy dies with the erase.
                     cached.uip = False
@@ -573,10 +577,8 @@ class GeckoFTL(PageMappedFTL):
                     raise ReadFreePageError(
                         f"{location} has not been programmed")
                 page_reads[_GC_PURPOSE] += 1
-                flash_mapping = read_block._data[
-                    location[1]].entries.get(logical)
-                if flash_mapping is None or flash_mapping[0] != victim \
-                        or flash_mapping[1] != offset:
+                if read_block._data[location[1]].entries[
+                        logical % entries_per_page] != victim_first + offset:
                     continue
             # Current copy confirmed: read, allocate, program (GC purpose).
             page_reads[_GC_PURPOSE] += 1
@@ -597,12 +599,11 @@ class GeckoFTL(PageMappedFTL):
             target.next_free_offset = new_offset + 1
             page_writes[_GC_PURPOSE] += 1
             bvc_counts[active_id] += 1
-            new_address = _new_address(PhysicalAddress,
-                                       (active_id, new_offset))
+            new_physical = active_id * pages_per_block + new_offset
             if cached is not None:
                 cache.hits += 1
                 cache_entries.move_to_end(logical)
-                cached.physical = new_address
+                cached.physical = new_physical
                 if not cached.dirty:
                     cached.dirty = True
                     cache._dirty_count += 1
@@ -610,7 +611,7 @@ class GeckoFTL(PageMappedFTL):
                 cache.misses += 1
                 entry = _new_mapping(CachedMapping)
                 entry.logical = logical
-                entry.physical = new_address
+                entry.physical = new_physical
                 entry.dirty = True
                 entry.uip = False
                 entry.uncertain = False

@@ -197,6 +197,8 @@ class GeckoRecovery(RecoveryAdapter):
         # pages updated after the flush against their previous versions.
         invalidation_records = 0
         versions = getattr(self, "_translation_versions", {})
+        pages_per_block = self.config.pages_per_block
+        entries_per_page = self.ftl.translation_table.entries_per_page
         for translation_page_id, version_list in versions.items():
             ordered = sorted(version_list)
             newest_ts, newest_addr = ordered[-1]
@@ -209,13 +211,16 @@ class GeckoRecovery(RecoveryAdapter):
                 newest_addr, purpose=IOPurpose.RECOVERY)
             old_content = self.device.read_page_data(
                 prev_addr, purpose=IOPurpose.RECOVERY)
-            for logical, old_physical in old_content.entries.items():
-                new_physical = new_content.entries.get(logical)
-                if new_physical == old_physical:
+            first_logical = translation_page_id * entries_per_page
+            for slot, (old_physical, new_physical) in enumerate(
+                    zip(old_content.entries, new_content.entries)):
+                if old_physical < 0 or new_physical == old_physical:
                     continue
-                spare = self.device.read_spare(old_physical,
+                old_address = PhysicalAddress(
+                    *divmod(old_physical, pages_per_block))
+                spare = self.device.read_spare(old_address,
                                                purpose=IOPurpose.RECOVERY)
-                if spare.logical_address != logical:
+                if spare.logical_address != first_logical + slot:
                     continue
                 # The before-image this diff identified was written before
                 # the translation-page version that referenced it. If the
@@ -228,8 +233,7 @@ class GeckoRecovery(RecoveryAdapter):
                 if spare.write_timestamp is not None \
                         and spare.write_timestamp >= _prev_ts:
                     continue
-                gecko.record_invalid(old_physical.block,
-                                     old_physical.page)
+                gecko.record_invalid(old_address.block, old_address.page)
                 invalidation_records += 1
         report.recovered_erase_records = erase_records
         report.recovered_invalidation_records = invalidation_records
@@ -261,6 +265,7 @@ class GeckoRecovery(RecoveryAdapter):
             if info["type"] is BlockType.USER and info["timestamp"] is not None]
         user_blocks.sort(reverse=True)
 
+        pages_per_block = self.config.pages_per_block
         seen: Set[int] = set()
         recovered = 0
         scanned = 0
@@ -280,7 +285,7 @@ class GeckoRecovery(RecoveryAdapter):
                     continue
                 seen.add(logical)
                 entry = CachedMapping(logical,
-                                      PhysicalAddress(block_id, offset),
+                                      block_id * pages_per_block + offset,
                                       dirty=True, uip=True, uncertain=True)
                 self.ftl.cache.put(entry)
                 recovered += 1

@@ -209,7 +209,8 @@ class DeviceArraySession(SimulationSession):
     instance of this class.
 
     Single-device features are rejected eagerly: ``timing=`` and ``obs=``
-    raise at construction, :meth:`crash`/:meth:`recover` raise when called.
+    raise at construction (``obs=False`` means off, as on a single-device
+    session), :meth:`crash`/:meth:`recover` raise when called.
     """
 
     def __init__(self,
@@ -225,7 +226,7 @@ class DeviceArraySession(SimulationSession):
             raise ValueError("device timing models are a single-device "
                              "feature; a DeviceArraySession does not accept "
                              "timing=")
-        if obs is not None:
+        if obs is not None and obs is not False:
             raise ValueError("observability capture is a single-device "
                              "feature; a DeviceArraySession does not accept "
                              "obs=")

@@ -35,23 +35,27 @@ from .garbage_collector import GarbageCollector, VictimPolicy
 from .mapping_cache import CachedMapping, MappingCache
 from .operations import BatchResult, Operation, OpKind
 from .recovery import BatteryRecovery, FullScanRecovery, RecoveryAdapter
-from .translation_table import TranslationTable
+from .translation_table import UNMAPPED, TranslationTable
 from .validity.base import ValidityStore
 from .wear_leveling import WearLeveler
 
 #: Block-type tag stamped into every user page's spare area.
 _USER_TYPE = BlockType.USER.value
 
-#: ``tuple.__new__(PhysicalAddress, (block, page))`` skips the generated
-#: namedtuple ``__new__`` frame — measurably cheaper on paths that mint one
-#: address per host write or migrated page.
-_new_address = tuple.__new__
 #: Its interned column code, resolved once at import for the inlined paths.
 _USER_CODE = _intern_block_type(_USER_TYPE)
 
 
 class PageMappedFTL:
-    """Base class for all page-associative FTLs in this repository."""
+    """Base class for all page-associative FTLs in this repository.
+
+    The mapping layer — cache entries, translation pages, synchronization,
+    trim, GC migration and recovery — addresses physical pages by their
+    linear number ``block * pages_per_block + page`` (see
+    :mod:`repro.ftl.translation_table`). A :class:`PhysicalAddress` is made
+    only for a flash primitive on a tapped device or for a validity store,
+    and the plain-device paths split the int with ``divmod`` instead.
+    """
 
     #: Human-readable name used in benchmark reports.
     name = "page-mapped-ftl"
@@ -70,6 +74,7 @@ class PageMappedFTL:
         self.device = device
         self.config: DeviceConfig = device.config
         self.stats: IOStats = device.stats
+        self._pages_per_block = self.config.pages_per_block
         # Accept the policy's string value too, so FTL spec strings (literal
         # kwargs only) can select it: "DFTL(victim_policy='metadata_aware')".
         victim_policy = VictimPolicy(victim_policy)
@@ -89,7 +94,6 @@ class PageMappedFTL:
             block_manager=self.block_manager,
             bvc=self.bvc,
             validity_store=self.validity_store,
-            migrate_user_page=self._migrate_user_page,
             migrate_user_pages=self._migrate_user_pages,
             migrate_metadata_page=self._migrate_metadata_page,
             policy=victim_policy,
@@ -162,7 +166,8 @@ class PageMappedFTL:
         self.stats.record_host_write()
         self._maybe_collect()
         new_address = self._program_user_page(logical, data, IOPurpose.USER)
-        self._update_mapping_on_write(logical, new_address)
+        self._update_mapping_on_write(
+            logical, new_address[0] * self._pages_per_block + new_address[1])
         if self.wear_leveler is not None:
             self.wear_leveler.on_flash_write()
         self._after_write(logical)
@@ -193,8 +198,19 @@ class PageMappedFTL:
                                   in_flash=True)
             self.cache.put(entry)
             self._evict_if_over_capacity()
-        value = self.device.read_page_data(entry.physical,
-                                           purpose=IOPurpose.USER)
+        block_id, offset = divmod(entry.physical, self._pages_per_block)
+        if self._plain_device:
+            # Inlined read_page_data: a mapped page is in range by
+            # construction, so only the programmed check remains.
+            block = self.device.blocks[block_id]
+            if offset >= block.next_free_offset:
+                raise ReadFreePageError(f"{PhysicalAddress(block_id, offset)}"
+                                        " has not been programmed")
+            self.stats.page_read_counts[IOPurpose.USER] += 1
+            value = block._data.get(offset)
+        else:
+            value = self.device.read_page_data(
+                PhysicalAddress(block_id, offset), purpose=IOPurpose.USER)
         if timing is not None:
             timing.end_request()
         return value
@@ -211,8 +227,9 @@ class PageMappedFTL:
             physical = self.translation_table.lookup(
                 logical, purpose=IOPurpose.TRANSLATION)
         if physical is not None:
-            self.validity_store.mark_invalid(physical)
-            self.bvc.decrement(physical.block)
+            block_id, offset = divmod(physical, self._pages_per_block)
+            self.validity_store.mark_invalid(PhysicalAddress(block_id, offset))
+            self.bvc.decrement(block_id)
             if entry is not None and entry.in_flash is False:
                 # The mapping only ever existed as a cached entry that was
                 # never synchronized: the flash-resident translation page
@@ -220,14 +237,15 @@ class PageMappedFTL:
                 if timing is not None:
                     timing.end_request()
                 return
-            translation_page = self.translation_table.translation_page_of(logical)
-            content = self.translation_table.read_translation_page(
-                translation_page, purpose=IOPurpose.TRANSLATION)
-            if logical in content.entries:
-                updated = content.copy()
-                del updated.entries[logical]
-                self.translation_table.write_translation_page(
-                    updated, purpose=IOPurpose.TRANSLATION)
+            table = self.translation_table
+            content = table.read_translation_page(
+                table.translation_page_of(logical),
+                purpose=IOPurpose.TRANSLATION)
+            slot = logical % table.entries_per_page
+            if content.entries[slot] >= 0:
+                content.entries[slot] = UNMAPPED
+                table.write_translation_page(content,
+                                             purpose=IOPurpose.TRANSLATION)
         if timing is not None:
             timing.end_request()
 
@@ -300,6 +318,7 @@ class PageMappedFTL:
         device = self.device
         user_purpose = IOPurpose.USER
         write_kind, read_kind, trim_kind = OpKind.WRITE, OpKind.READ, OpKind.TRIM
+        pages_per_block = self._pages_per_block
         fast = self._plain_device
         if fast:
             blocks = device.blocks
@@ -310,7 +329,6 @@ class PageMappedFTL:
             threshold = self.garbage_collector.free_block_threshold
             write_counts = stats.page_write_counts
             bvc_counts = self.bvc._counts
-            pages_per_block = self.config.pages_per_block
             user_code = _USER_CODE
             user_type = BlockType.USER
         operations = batch if isinstance(batch, list) else list(batch)
@@ -360,8 +378,8 @@ class PageMappedFTL:
                         block.next_free_offset = offset + 1
                         write_counts[user_purpose] += 1
                         bvc_counts[active_id] += 1
-                        update_mapping(logical, _new_address(
-                            PhysicalAddress, (active_id, offset)))
+                        update_mapping(logical,
+                                       active_id * pages_per_block + offset)
                         if wear_leveler is not None:
                             wear_leveler.on_flash_write()
                         if after_write is not None:
@@ -383,7 +401,8 @@ class PageMappedFTL:
                             self._maybe_collect()
                         new_address = program_user_page(
                             logical, operation.payload, user_purpose)
-                        update_mapping(logical, new_address)
+                        update_mapping(logical, new_address[0]
+                                       * pages_per_block + new_address[1])
                         if wear_leveler is not None:
                             wear_leveler.on_flash_write()
                         if after_write is not None:
@@ -428,8 +447,8 @@ class PageMappedFTL:
         return address
 
     def _update_mapping_on_write(self, logical: LogicalAddress,
-                                 new_address: PhysicalAddress) -> None:
-        """Baseline (eager) mapping update.
+                                 new_physical: int) -> None:
+        """Baseline (eager) mapping update to linear page ``new_physical``.
 
         On a cache hit the superseded physical page is known and reported to
         the validity store immediately. On a miss the baseline FTLs fetch the
@@ -439,21 +458,22 @@ class PageMappedFTL:
         entry = self.cache.get(logical)
         if entry is not None:
             self._invalidate_user_page(entry.physical)
-            entry.physical = new_address
+            entry.physical = new_physical
             self.cache.mark_dirty(logical, True)
             return
         old_physical = self.translation_table.lookup(
             logical, purpose=IOPurpose.TRANSLATION)
         if old_physical is not None:
             self._invalidate_user_page(old_physical)
-        self.cache.put(CachedMapping(logical, new_address, dirty=True,
+        self.cache.put(CachedMapping(logical, new_physical, dirty=True,
                                      in_flash=old_physical is not None))
         self._evict_if_over_capacity()
 
-    def _invalidate_user_page(self, address: PhysicalAddress) -> None:
+    def _invalidate_user_page(self, physical: int) -> None:
         """Report a superseded user page to the validity store and the BVC."""
-        self.validity_store.mark_invalid(address)
-        self.bvc.decrement(address.block)
+        block_id, offset = divmod(physical, self._pages_per_block)
+        self.validity_store.mark_invalid(PhysicalAddress(block_id, offset))
+        self.bvc.decrement(block_id)
 
     def _after_write(self, logical: LogicalAddress) -> None:
         """Hook for subclasses (GeckoFTL's checkpoints)."""
@@ -563,8 +583,9 @@ class PageMappedFTL:
             self._in_gc = False
         self._evict_if_over_capacity()
 
-    def _migrate_user_page(self, old_address: PhysicalAddress) -> None:
-        """Move a live user page off a victim block.
+    def _migrate_user_page(self, old_physical: int) -> None:
+        """Move the live user page at linear page ``old_physical`` off a
+        victim block.
 
         Migrations are treated like application writes: the new location is
         recorded as a dirty cached mapping entry and synchronized lazily.
@@ -575,14 +596,16 @@ class PageMappedFTL:
         makes this the hottest call chain of the whole collector.
         """
         device = self.device
+        pages_per_block = self._pages_per_block
+        block_id, offset = divmod(old_physical, pages_per_block)
         if self._plain_device:
-            block_id, offset = old_address
             block = device.blocks[block_id]
             # Inlined read_page_record: GC only visits written offsets, so
             # the cursor check is the only validation needed.
             if offset >= block.next_free_offset:
                 raise ReadFreePageError(
-                    f"{old_address} has not been programmed")
+                    f"{PhysicalAddress(block_id, offset)} has not been "
+                    "programmed")
             stats = device.stats
             stats.page_read_counts[IOPurpose.GC] += 1
             tag = block._logical[offset]
@@ -608,17 +631,17 @@ class PageMappedFTL:
             target.next_free_offset = new_offset + 1
             stats.page_write_counts[IOPurpose.GC] += 1
             self.bvc._counts[active_id] += 1
-            new_address = _new_address(PhysicalAddress,
-                                       (active_id, new_offset))
         else:
-            data, logical = device.read_page_record(old_address,
-                                                    purpose=IOPurpose.GC)
+            data, logical = device.read_page_record(
+                PhysicalAddress(block_id, offset), purpose=IOPurpose.GC)
             new_address = self.block_manager.allocate_page(BlockType.USER,
                                                            use_reserve=True)
             device.write_page_tagged(new_address, data, logical=logical,
                                      block_type=_USER_TYPE,
                                      purpose=IOPurpose.GC)
-            self.bvc.increment(new_address.block)
+            active_id, new_offset = new_address
+            self.bvc.increment(active_id)
+        new_physical = active_id * pages_per_block + new_offset
         # Inlined cache update (get-hit refresh / put of an absent key):
         # migrations run under _in_gc, so evictions are deferred anyway.
         cache = self.cache
@@ -626,13 +649,13 @@ class PageMappedFTL:
         if entry is not None:
             cache.hits += 1
             cache._entries.move_to_end(logical)
-            entry.physical = new_address
+            entry.physical = new_physical
             if not entry.dirty:
                 entry.dirty = True
                 cache._dirty_count += 1
         else:
             cache.misses += 1
-            cache._entries[logical] = CachedMapping(logical, new_address,
+            cache._entries[logical] = CachedMapping(logical, new_physical,
                                                     dirty=True)
             cache._live_count += 1
             cache._dirty_count += 1
@@ -653,8 +676,9 @@ class PageMappedFTL:
         :meth:`_migrate_user_page` per offset and is observably identical.
         """
         migrate = self._migrate_user_page
+        first = victim * self._pages_per_block
         for offset in offsets:
-            migrate(PhysicalAddress(victim, offset))
+            migrate(first + offset)
 
     def _migrate_metadata_page(self, address: PhysicalAddress,
                                block_type: BlockType) -> None:

@@ -61,21 +61,16 @@ class GarbageCollector:
                  block_manager: BlockManager,
                  bvc: BlockValidityCounter,
                  validity_store: ValidityStore,
-                 migrate_user_page: Callable[[PhysicalAddress], None],
+                 migrate_user_pages: Callable[[int, List[int]], None],
                  migrate_metadata_page: Callable[[PhysicalAddress, BlockType], None],
                  policy: VictimPolicy = VictimPolicy.GREEDY,
-                 free_block_threshold: int = 6,
-                 migrate_user_pages: Optional[
-                     Callable[[int, List[int]], None]] = None) -> None:
+                 free_block_threshold: int = 6) -> None:
         self.device = device
         self.block_manager = block_manager
         self.bvc = bvc
         self.validity_store = validity_store
-        self.migrate_user_page = migrate_user_page
-        #: Optional batch form of ``migrate_user_page``: called once per
-        #: victim with its live offsets (ascending), letting the FTL hoist
-        #: per-victim state out of the per-page loop. Must be observably
-        #: identical to calling ``migrate_user_page`` per offset in order.
+        #: Called once per victim with its live offsets (ascending), letting
+        #: the FTL hoist per-victim state out of the per-page loop.
         self.migrate_user_pages = migrate_user_pages
         self.migrate_metadata_page = migrate_metadata_page
         self.policy = policy
@@ -303,12 +298,7 @@ class GarbageCollector:
             invalid = self.validity_store.invalid_offsets(victim)
             live = [offset for offset in range(written)
                     if offset not in invalid]
-        if self.migrate_user_pages is not None:
-            self.migrate_user_pages(victim, live)
-        else:
-            migrate = self.migrate_user_page
-            for offset in live:
-                migrate(PhysicalAddress(victim, offset))
+        self.migrate_user_pages(victim, live)
         # A garbage-collection operation reports the erase to the validity
         # store (for Logarithmic Gecko this is the erase-flag insertion).
         self.validity_store.note_erase(victim)

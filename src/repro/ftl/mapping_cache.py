@@ -40,19 +40,23 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set
 
-from ..flash.address import LogicalAddress, PhysicalAddress
+from ..flash.address import LogicalAddress
 
 
 @dataclass(slots=True)
 class CachedMapping:
     """One cached logical-to-physical mapping entry.
 
+    ``physical`` is the linear physical page number
+    (``block * pages_per_block + page``), the mapping layer's one physical
+    address format (see :mod:`repro.ftl.translation_table`).
+
     Slotted: the FTL write path creates and mutates one of these per host
     write, so attribute storage stays flat instead of per-entry ``__dict__``.
     """
 
     logical: LogicalAddress
-    physical: PhysicalAddress
+    physical: int
     dirty: bool = False
     uip: bool = False
     uncertain: bool = False

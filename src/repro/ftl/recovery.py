@@ -389,25 +389,29 @@ class FullScanRecovery(RecoveryAdapter):
         """
         before = self.device.stats.snapshot()
         table = self.ftl.translation_table
-        by_translation_page: Dict[int, Dict[int, PhysicalAddress]] = {}
+        entries_per_page = table.entries_per_page
+        pages_per_block = self.config.pages_per_block
+        scanned_pages: Dict[int, TranslationPageContent] = {}
         for logical, (_timestamp, address) in newest.items():
-            page_id = table.translation_page_of(logical)
-            by_translation_page.setdefault(page_id, {})[logical] = address
+            page_id = logical // entries_per_page
+            scanned = scanned_pages.get(page_id)
+            if scanned is None:
+                scanned = scanned_pages[page_id] = TranslationPageContent(
+                    page_id, table.unmapped_entries())
+            scanned.entries[logical % entries_per_page] = (
+                address.block * pages_per_block + address.page)
         repaired = 0
-        for page_id in sorted(by_translation_page):
-            scanned_entries = by_translation_page[page_id]
+        for page_id in sorted(scanned_pages):
+            scanned = scanned_pages[page_id]
             content = table.read_translation_page(
                 page_id, purpose=IOPurpose.RECOVERY)
-            if content.entries == scanned_entries:
+            if content.entries == scanned.entries:
                 continue
-            repaired += sum(
-                1 for logical, address in scanned_entries.items()
-                if content.entries.get(logical) != address)
-            repaired += sum(1 for logical in content.entries
-                            if logical not in scanned_entries)
-            table.write_translation_page(
-                TranslationPageContent(page_id, dict(scanned_entries)),
-                purpose=IOPurpose.RECOVERY)
+            repaired += sum(1 for flash, found in zip(content.entries,
+                                                      scanned.entries)
+                            if flash != found)
+            table.write_translation_page(scanned,
+                                         purpose=IOPurpose.RECOVERY)
         report.recovered_mapping_entries = repaired
         self._measure(report, "step4_translation_sync", before)
 

@@ -11,10 +11,20 @@ Updates to the flash-resident table are applied lazily and in bulk by
 *synchronization operations* (driven by the FTL), which read a translation
 page, fold in all dirty cached entries that belong to it, and write the new
 version to a fresh flash page.
+
+A translation page is what the paper says it is: a flat run of 4-byte
+mapping entries. Each entry is the *linear* physical page number
+``block * pages_per_block + page`` of its logical page (``-1`` when the
+logical page is unmapped), the one physical-address format of the whole
+mapping layer — the cache, synchronization, trim, GC migration and
+recovery all pass these ints. ``PhysicalAddress`` pairs appear only where a
+flash primitive, the GMD (which locates translation pages) or a validity
+store needs one.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -24,33 +34,51 @@ from ..flash.device import FlashDevice
 from ..flash.stats import IOPurpose
 from .block_manager import BlockManager, BlockType
 
+#: Typecode of a translation page's entry array: a signed 4-byte int, so
+#: every linear page number below ``2**31`` fits and ``-1`` marks a hole.
+ENTRY_TYPECODE = "i"
+assert array(ENTRY_TYPECODE).itemsize == MAPPING_ENTRY_BYTES
+#: Entry value of an unmapped logical page.
+UNMAPPED = -1
 
-@dataclass
+
+@dataclass(slots=True)
 class TranslationPageContent:
     """Payload stored in one flash translation page.
 
-    ``entries`` maps logical page number to physical address for the logical
-    range covered by this translation page. Missing keys mean the logical
-    page has never been written.
+    ``entries`` is a fixed-length ``array('i')`` indexed by
+    ``logical % entries_per_page``; each slot holds the linear physical page
+    number of that logical page, or ``UNMAPPED``. A flat buffer holds no
+    Python objects, so copying a version is one memcpy and the cyclic
+    garbage collector finds nothing inside a stored version to traverse.
     """
 
     translation_page_id: int
-    entries: Dict[LogicalAddress, PhysicalAddress]
+    entries: array
 
     def copy(self) -> "TranslationPageContent":
         return TranslationPageContent(self.translation_page_id,
-                                       dict(self.entries))
+                                      self.entries[:])
 
 
 class TranslationTable:
     """DFTL-style flash-resident translation table with a RAM-resident GMD."""
 
     def __init__(self, device: FlashDevice, block_manager: BlockManager) -> None:
+        config = device.config
+        if config.physical_pages >= 1 << 31:
+            raise ValueError(
+                f"a device of {config.physical_pages} physical pages does "
+                f"not fit {MAPPING_ENTRY_BYTES}-byte mapping entries (at "
+                f"most 2**31 - 1 pages)")
         self.device = device
         self.block_manager = block_manager
-        self.config = device.config
-        self.entries_per_page = self.config.mapping_entries_per_page
-        self.num_translation_pages = self.config.num_translation_pages
+        self.config = config
+        self.entries_per_page = config.mapping_entries_per_page
+        self.num_translation_pages = config.num_translation_pages
+        #: Entries of a never-written translation page, copied on demand.
+        self._unmapped = array(ENTRY_TYPECODE,
+                               [UNMAPPED]) * self.entries_per_page
         #: The Global Mapping Directory: translation-page id -> flash location.
         #: ``None`` means the translation page has never been written.
         self.gmd: List[Optional[PhysicalAddress]] = (
@@ -67,6 +95,10 @@ class TranslationTable:
         """Current flash location of a translation page (from the GMD)."""
         return self.gmd[translation_page_id]
 
+    def unmapped_entries(self) -> array:
+        """A fresh entry array of a translation page with no mappings."""
+        return self._unmapped[:]
+
     @property
     def gmd_ram_bytes(self) -> int:
         """RAM footprint of the GMD (4 bytes per translation page)."""
@@ -81,33 +113,35 @@ class TranslationTable:
     ) -> TranslationPageContent:
         """Read a translation page from flash (one page read).
 
-        If the translation page has never been written, an empty content
-        object is returned without any IO: there is nothing to read.
+        Returns a private copy the caller may mutate. If the translation
+        page has never been written, an all-unmapped content object is
+        returned without any IO: there is nothing to read.
         """
         location = self.gmd[translation_page_id]
         if location is None:
-            return TranslationPageContent(translation_page_id, {})
+            return TranslationPageContent(translation_page_id,
+                                          self.unmapped_entries())
         content = self.device.read_page_data(location, purpose=purpose)
         return content.copy()
 
     def lookup(self, logical: LogicalAddress,
-               purpose: IOPurpose = IOPurpose.TRANSLATION
-               ) -> Optional[PhysicalAddress]:
+               purpose: IOPurpose = IOPurpose.TRANSLATION) -> Optional[int]:
         """Fetch the flash-resident mapping entry for one logical page.
 
-        Reads the covering translation page (one charged page read) but skips
-        the defensive content copy :meth:`read_translation_page` makes — the
-        stored content is only probed for one immutable address, never
-        mutated or exposed.
+        Returns the linear physical page number, or ``None`` if the logical
+        page is unmapped. Reads the covering translation page (one charged
+        page read) but skips the copy :meth:`read_translation_page` makes.
         """
-        location = self.gmd[logical // self.entries_per_page]
+        entries_per_page = self.entries_per_page
+        location = self.gmd[logical // entries_per_page]
         if location is None:
             return None
-        content = self.device.read_page_data(location, purpose=purpose)
-        return content.entries.get(logical)
+        physical = self.device.read_page_data(
+            location, purpose=purpose).entries[logical % entries_per_page]
+        return physical if physical >= 0 else None
 
     def lookup_batch(self, logicals, purpose: IOPurpose = IOPurpose.TRANSLATION
-                     ) -> Dict[LogicalAddress, Optional[PhysicalAddress]]:
+                     ) -> Dict[LogicalAddress, Optional[int]]:
         """Resolve many logical pages in one pass over the translation table.
 
         Sorted-key grouping: the logicals are sorted so that all keys covered
@@ -118,12 +152,12 @@ class TranslationTable:
         distinct translation pages touched — per-op host paths keep calling
         :meth:`lookup` so their one-read-per-miss accounting is preserved.
         """
-        resolved: Dict[LogicalAddress, Optional[PhysicalAddress]] = {}
+        resolved: Dict[LogicalAddress, Optional[int]] = {}
         entries_per_page = self.entries_per_page
         gmd = self.gmd
         read_page_data = self.device.read_page_data
         current_page = -1
-        current_entries: Optional[Dict[LogicalAddress, PhysicalAddress]] = None
+        current_entries: Optional[array] = None
         for logical in sorted(set(logicals)):
             translation_page = logical // entries_per_page
             if translation_page != current_page:
@@ -132,8 +166,9 @@ class TranslationTable:
                 current_entries = (
                     None if location is None
                     else read_page_data(location, purpose=purpose).entries)
-            resolved[logical] = (current_entries.get(logical)
-                                 if current_entries is not None else None)
+            physical = (current_entries[logical % entries_per_page]
+                        if current_entries is not None else UNMAPPED)
+            resolved[logical] = physical if physical >= 0 else None
         return resolved
 
     # ------------------------------------------------------------------
@@ -163,10 +198,11 @@ class TranslationTable:
 
     def apply_updates(
             self, translation_page_id: int,
-            updates: Dict[LogicalAddress, PhysicalAddress],
+            updates: Dict[LogicalAddress, int],
             purpose: IOPurpose = IOPurpose.TRANSLATION
     ) -> Tuple[TranslationPageContent, TranslationPageContent]:
-        """Fold ``updates`` into a translation page (read-modify-write).
+        """Fold ``updates`` (logical -> linear physical page) into a
+        translation page (read-modify-write).
 
         Returns ``(old_content, new_content)`` so the caller can identify
         which previously mapped physical pages have just become invalid.
@@ -174,7 +210,10 @@ class TranslationTable:
         old_content = self.read_translation_page(translation_page_id,
                                                  purpose=purpose)
         new_content = old_content.copy()
-        new_content.entries.update(updates)
+        entries = new_content.entries
+        entries_per_page = self.entries_per_page
+        for logical, physical in updates.items():
+            entries[logical % entries_per_page] = physical
         self.write_translation_page(new_content, purpose=purpose)
         return old_content, new_content
 

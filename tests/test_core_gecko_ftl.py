@@ -145,10 +145,11 @@ class TestGarbageCollectionBehaviour:
         # the block containing the old copy.
         ftl.flush()
         ftl.cache.clear()
-        old_address = ftl.translation_table.lookup(10)
+        old_block = (ftl.translation_table.lookup(10)
+                     // ftl.config.pages_per_block)
         ftl.write(10, "newer")      # miss: old copy is a UIP
         migrated_before = ftl.stats.total(IOKind.PAGE_WRITE, IOPurpose.GC)
-        result = ftl.garbage_collector.collect_block(old_address.block)
+        result = ftl.garbage_collector.collect_block(old_block)
         assert ftl.read(10) == "newer"
         assert result.victim_type is BlockType.USER
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.gecko_ftl import GeckoFTL
 from repro.core.recovery import GeckoRecovery
+from repro.flash.address import PhysicalAddress
 from repro.flash.config import simulation_configuration
 from repro.flash.device import FlashDevice
 from repro.workloads.base import fill_device
@@ -57,7 +58,8 @@ class TestPowerFailure:
     def test_flash_contents_survive(self):
         ftl = build_ftl()
         ftl.write(3, "persisted")
-        address = ftl.cache.peek(3).physical
+        address = PhysicalAddress.from_linear(ftl.cache.peek(3).physical,
+                                              ftl.config.pages_per_block)
         GeckoRecovery(ftl).simulate_power_failure()
         assert ftl.device.peek(address).data == "persisted"
 

@@ -142,6 +142,12 @@ class TestFrontDoorRouting:
         with pytest.raises(ValueError, match="single-device"):
             SimulationSession("GeckoFTL", device="array(n=2)", obs="trace")
 
+    def test_obs_false_means_off(self):
+        with SimulationSession("GeckoFTL", device="array(n=2)",
+                               obs=False) as session:
+            assert isinstance(session, DeviceArraySession)
+            assert session.obs is None
+
     def test_built_ftl_rejected(self):
         from repro import GeckoFTL, FlashDevice
         ftl = GeckoFTL(FlashDevice(tiny_config()), cache_capacity=32)
