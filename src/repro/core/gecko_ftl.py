@@ -25,12 +25,12 @@ The recovery algorithm itself (GeckoRec) lives in :mod:`repro.core.recovery`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..api.registry import register_ftl
 from ..flash.address import LogicalAddress, PhysicalAddress
 from ..flash.device import FlashDevice
-from ..flash.stats import IOPurpose
+from ..flash.stats import IOKind, IOPurpose
 from ..flash.block import _intern_block_type
 from ..flash.errors import ReadFreePageError
 from ..ftl.base import PageMappedFTL
@@ -49,6 +49,8 @@ _TRANSLATION_PURPOSE = IOPurpose.TRANSLATION
 _USER_TYPE = BlockType.USER
 _USER_CODE = _intern_block_type(BlockType.USER.value)
 _GC_PURPOSE = IOPurpose.GC
+_PAGE_READ, _PAGE_WRITE = IOKind.PAGE_READ, IOKind.PAGE_WRITE
+_SPARE_READ = IOKind.SPARE_READ
 _new_mapping = object.__new__
 
 
@@ -286,22 +288,22 @@ class GeckoFTL(PageMappedFTL):
         translation_table = self.translation_table
         gmd = translation_table.gmd
         device = self.device
-        plain = self._plain_device
+        taps = self._taps
         location = gmd[translation_page]
         # Inlined ``read_translation_page`` (same one-charged-read
         # accounting, private entry copy materialized directly).
         if location is None:
             page_entries = translation_table.unmapped_entries()
-        elif plain:
-            read_block = device.blocks[location[0]]
-            read_offset = location[1]
+        else:
+            read_id, read_offset = location
+            read_block = device.blocks[read_id]
             if read_offset >= read_block.next_free_offset:
                 raise ReadFreePageError(f"{location} has not been programmed")
             device.stats.page_read_counts[_TRANSLATION_PURPOSE] += 1
+            if taps:
+                for tap in taps:
+                    tap(_PAGE_READ, read_id, _TRANSLATION_PURPOSE)
             page_entries = read_block._data[read_offset].entries[:]
-        else:
-            page_entries = device.read_page_data(
-                location, purpose=_TRANSLATION_PURPOSE).entries[:]
 
         # Every participating entry has a distinct logical page, so folding
         # each update straight into the copy never hides a before-image
@@ -351,40 +353,39 @@ class GeckoFTL(PageMappedFTL):
             # synchronization operation and save the flash write
             # (Appendix C.3.1).
             return
-        content = TranslationPageContent(translation_page, page_entries)
-        if plain:
-            # Inlined ``write_translation_page``: allocate the next
-            # translation page (metadata may dip into the GC reserve),
-            # program it with the same tags/accounting as
-            # ``write_page_tagged``, repoint the GMD, retire the old copy.
-            manager = self.block_manager
-            active_id = manager.active_blocks[_TRANSLATION_TYPE]
-            if active_id is None:
-                active_id = manager._open_new_active_block(
-                    _TRANSLATION_TYPE, False)
+        # Inlined ``write_translation_page``: allocate the next translation
+        # page (metadata may dip into the GC reserve), program it with the
+        # same tags/accounting as ``write_page_tagged``, repoint the GMD,
+        # retire the old copy.
+        manager = self.block_manager
+        active_id = manager.active_blocks[_TRANSLATION_TYPE]
+        if active_id is None:
+            active_id = manager._open_new_active_block(_TRANSLATION_TYPE,
+                                                       False)
+        block = device.blocks[active_id]
+        offset = block.next_free_offset
+        if offset >= block.pages_per_block:
+            active_id = manager._open_new_active_block(_TRANSLATION_TYPE,
+                                                       False)
             block = device.blocks[active_id]
             offset = block.next_free_offset
-            if offset >= block.pages_per_block:
-                active_id = manager._open_new_active_block(
-                    _TRANSLATION_TYPE, False)
-                block = device.blocks[active_id]
-                offset = block.next_free_offset
-            device._write_clock = timestamp = device._write_clock + 1
-            block._state_words[offset >> 6] |= 1 << (offset & 63)
-            block._logical[offset] = -1
-            block._timestamp[offset] = timestamp
-            block._type_code[offset] = _TRANSLATION_CODE
-            block._data[offset] = content
-            block._payload[offset] = {"translation_page_id": translation_page}
-            block.next_free_offset = offset + 1
-            device.stats.page_write_counts[_TRANSLATION_PURPOSE] += 1
-            gmd[translation_page] = PhysicalAddress(active_id, offset)
-            if location is not None:
-                self.block_manager.info[
-                    location[0]].invalid_metadata_offsets.add(location[1])
-        else:
-            translation_table.write_translation_page(
-                content, purpose=_TRANSLATION_PURPOSE)
+        device._write_clock = timestamp = device._write_clock + 1
+        block._state_words[offset >> 6] |= 1 << (offset & 63)
+        block._logical[offset] = -1
+        block._timestamp[offset] = timestamp
+        block._type_code[offset] = _TRANSLATION_CODE
+        block._data[offset] = TranslationPageContent(translation_page,
+                                                     page_entries)
+        block._payload[offset] = {"translation_page_id": translation_page}
+        block.next_free_offset = offset + 1
+        device.stats.page_write_counts[_TRANSLATION_PURPOSE] += 1
+        if taps:
+            for tap in taps:
+                tap(_PAGE_WRITE, active_id, _TRANSLATION_PURPOSE)
+        gmd[translation_page] = PhysicalAddress(active_id, offset)
+        if location is not None:
+            manager.info[location[0]].invalid_metadata_offsets.add(
+                location[1])
         for entry in synced:
             entry.in_flash = True
             if entry.dirty:
@@ -458,75 +459,33 @@ class GeckoFTL(PageMappedFTL):
         translation-page read per migrated page whose mapping entry is not
         cached, charged to the GC purpose.
         """
-        if self._plain_device:
-            # Inlined read_spare_logical (same accounting, no call chain).
-            block_id, offset = divmod(old_physical, self._pages_per_block)
-            block = self.device.blocks[block_id]
-            self.device.stats.spare_read_counts[IOPurpose.GC] += 1
-            logical = None
-            if offset < block.next_free_offset:
-                tag = block._logical[offset]
-                if tag >= 0:
-                    logical = tag
-        else:
-            logical = self.device.read_spare_logical(
-                PhysicalAddress(*divmod(old_physical, self._pages_per_block)),
-                purpose=IOPurpose.GC)
-        cached = (self.cache._entries.get(logical)
-                  if logical is not None else None)
-        if cached is not None:
-            if cached.physical != old_physical:
-                # Stale copy (an unidentified invalid page). It is about to be
-                # erased with the victim block, so also clear the UIP flag:
-                # reporting it later would be stale and could mark a reused
-                # page slot as invalid.
-                cached.uip = False
-                return
-            super()._migrate_user_page(old_physical)
-            return
-        if self._plain_device:
-            # Inlined ``translation_table.lookup`` (same one-charged-read
-            # accounting): almost every migrated page misses the small cache,
-            # so this probe runs once per migration.
-            table = self.translation_table
-            entries_per_page = table.entries_per_page
-            location = table.gmd[logical // entries_per_page]
-            if location is None:
-                flash_mapping = None
-            else:
-                read_block = self.device.blocks[location[0]]
-                if location[1] >= read_block.next_free_offset:
-                    raise ReadFreePageError(
-                        f"{location} has not been programmed")
-                self.device.stats.page_read_counts[IOPurpose.GC] += 1
-                flash_mapping = read_block._data[
-                    location[1]].entries[logical % entries_per_page]
-        else:
-            flash_mapping = self.translation_table.lookup(
-                logical, purpose=IOPurpose.GC)
-        if flash_mapping != old_physical:
-            # Unrecorded stale copy; skip it and let the erase reclaim it.
-            return
-        super()._migrate_user_page(old_physical)
+        victim, offset = divmod(old_physical, self._pages_per_block)
+        self._migrate_current_copies(victim, (offset,))
 
     def _migrate_user_pages(self, victim: int, offsets: List[int]) -> None:
         """Batch form of :meth:`_migrate_user_page` for one victim block.
+
+        A subclass that overrides :meth:`_migrate_user_page` still sees
+        every page through the base class's per-page loop.
+        """
+        if type(self)._migrate_user_page is not GeckoFTL._migrate_user_page:
+            super()._migrate_user_pages(victim, offsets)
+            return
+        self._migrate_current_copies(victim, offsets)
+
+    def _migrate_current_copies(self, victim: int,
+                                offsets: Sequence[int]) -> None:
+        """Check and migrate a victim's pages at ``offsets``, ascending.
 
         Garbage collection migrates every live page of a victim in one
         burst, so the spare-area check, the current-copy verification, and
         the read-allocate-program sequence are fused into a single loop
         with all per-victim state (device columns, cache internals, GMD)
-        hoisted out of it. Observably identical — same per-page IO
-        accounting, same cache hit/miss counters, same entry mutations —
-        to calling ``_migrate_user_page`` per offset in ascending order;
-        the per-page path stays behind for subclasses and wrapped devices.
+        hoisted out of it. Each charged op bumps its IOStats counter and
+        then calls the device's taps.
         """
-        if not self._plain_device or \
-                type(self)._migrate_user_page \
-                is not GeckoFTL._migrate_user_page:
-            super()._migrate_user_pages(victim, offsets)
-            return
         device = self.device
+        taps = self._taps
         blocks = device.blocks
         stats = device.stats
         spare_reads = stats.spare_read_counts
@@ -553,6 +512,9 @@ class GeckoFTL(PageMappedFTL):
         for offset in offsets:
             # Spare-area read: identify the page's logical address.
             spare_reads[_GC_PURPOSE] += 1
+            if taps:
+                for tap in taps:
+                    tap(_SPARE_READ, victim, _GC_PURPOSE)
             logical = None
             if offset < victim_cursor:
                 tag = victim_logical[offset]
@@ -572,16 +534,23 @@ class GeckoFTL(PageMappedFTL):
                 location = gmd[logical // entries_per_page]
                 if location is None:
                     continue
-                read_block = blocks[location[0]]
-                if location[1] >= read_block.next_free_offset:
+                read_id, read_offset = location
+                read_block = blocks[read_id]
+                if read_offset >= read_block.next_free_offset:
                     raise ReadFreePageError(
                         f"{location} has not been programmed")
                 page_reads[_GC_PURPOSE] += 1
-                if read_block._data[location[1]].entries[
+                if taps:
+                    for tap in taps:
+                        tap(_PAGE_READ, read_id, _GC_PURPOSE)
+                if read_block._data[read_offset].entries[
                         logical % entries_per_page] != victim_first + offset:
                     continue
             # Current copy confirmed: read, allocate, program (GC purpose).
             page_reads[_GC_PURPOSE] += 1
+            if taps:
+                for tap in taps:
+                    tap(_PAGE_READ, victim, _GC_PURPOSE)
             data = victim_data.get(offset)
             active_id = active_blocks[_USER_TYPE]
             if active_id is None \
@@ -598,6 +567,9 @@ class GeckoFTL(PageMappedFTL):
                 target._data[new_offset] = data
             target.next_free_offset = new_offset + 1
             page_writes[_GC_PURPOSE] += 1
+            if taps:
+                for tap in taps:
+                    tap(_PAGE_WRITE, active_id, _GC_PURPOSE)
             bvc_counts[active_id] += 1
             new_physical = active_id * pages_per_block + new_offset
             if cached is not None:

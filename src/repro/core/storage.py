@@ -20,15 +20,16 @@ from typing import Dict, Optional
 
 from ..flash.address import PhysicalAddress
 from ..flash.block import _intern_block_type
-from ..flash.device import FlashDevice, is_plain_device
+from ..flash.device import FlashDevice, device_taps
 from ..flash.errors import ReadFreePageError
-from ..flash.stats import IOPurpose
+from ..flash.stats import IOKind, IOPurpose
 from ..ftl.block_manager import BlockManager, BlockType
 from .run import GeckoPagePayload
 
 _VALIDITY_TYPE = BlockType.VALIDITY
 _VALIDITY_CODE = _intern_block_type(BlockType.VALIDITY.value)
 _VALIDITY_PURPOSE = IOPurpose.VALIDITY
+_PAGE_READ, _PAGE_WRITE = IOKind.PAGE_READ, IOKind.PAGE_WRITE
 _new_address = tuple.__new__
 
 
@@ -126,7 +127,10 @@ class FlashGeckoStorage(GeckoStorage):
 
     Every operation is charged to the device's IO ledger under the
     ``VALIDITY`` purpose, which is how the paper attributes Logarithmic
-    Gecko's IO in the write-amplification breakdowns.
+    Gecko's IO in the write-amplification breakdowns. Run serialization
+    (:meth:`append_page`) and page reads poke the device columns directly
+    on plain and tapped devices alike, calling the device's taps after
+    each counter bump.
     """
 
     def __init__(self, device: FlashDevice, block_manager: BlockManager) -> None:
@@ -134,10 +138,8 @@ class FlashGeckoStorage(GeckoStorage):
         self.block_manager = block_manager
         self._reads = 0
         self._writes = 0
-        # Same gating as PageMappedFTL._plain_device: a tapped device
-        # (timing, observability) must see every operation, so only a plain
-        # FlashDevice takes the inlined paths below.
-        self._plain = is_plain_device(device)
+        # The same tap tuple PageMappedFTL discovers (``()`` when plain).
+        self._taps = device_taps(device)
 
     def allocate(self) -> PhysicalAddress:
         return self.block_manager.allocate_page(BlockType.VALIDITY)
@@ -155,16 +157,12 @@ class FlashGeckoStorage(GeckoStorage):
         """Fused ``allocate()`` + ``write()`` for run serialization.
 
         Observably identical to the two-call sequence (same allocation
-        policy, same tags and IO accounting); on a plain device the
+        policy, same tags, IO accounting and tap calls); the
         allocate-and-program sequence is poked directly instead of running
         through four call layers per Gecko page. The caller hands over
         ownership of ``spare_payload`` (run serialization builds a fresh
         dict per page).
         """
-        if not self._plain:
-            address = self.allocate()
-            self.write(address, payload, spare_payload)
-            return address
         self._writes += 1
         device = self.device
         manager = self.block_manager
@@ -187,21 +185,24 @@ class FlashGeckoStorage(GeckoStorage):
             block._payload[offset] = spare_payload
         block.next_free_offset = offset + 1
         device.stats.page_write_counts[_VALIDITY_PURPOSE] += 1
+        if self._taps:
+            for tap in self._taps:
+                tap(_PAGE_WRITE, active_id, _VALIDITY_PURPOSE)
         return _new_address(PhysicalAddress, (active_id, offset))
 
     def read(self, address: PhysicalAddress) -> GeckoPagePayload:
         self._reads += 1
-        if self._plain:
-            # Inlined ``read_page_data`` (GC queries and merges read run
-            # pages constantly): cursor check plus the charged read.
-            block = self.device.blocks[address[0]]
-            offset = address[1]
-            if offset >= block.next_free_offset:
-                raise ReadFreePageError(f"{address} has not been programmed")
-            self.device.stats.page_read_counts[_VALIDITY_PURPOSE] += 1
-            return block._data.get(offset)
-        return self.device.read_page_data(address,
-                                          purpose=IOPurpose.VALIDITY)
+        # Inlined ``read_page_data`` (GC queries and merges read run pages
+        # constantly): cursor check plus the charged read.
+        block_id, offset = address
+        block = self.device.blocks[block_id]
+        if offset >= block.next_free_offset:
+            raise ReadFreePageError(f"{address} has not been programmed")
+        self.device.stats.page_read_counts[_VALIDITY_PURPOSE] += 1
+        if self._taps:
+            for tap in self._taps:
+                tap(_PAGE_READ, block_id, _VALIDITY_PURPOSE)
+        return block._data.get(offset)
 
     def invalidate(self, address: PhysicalAddress) -> None:
         self.block_manager.invalidate_metadata_page(address)

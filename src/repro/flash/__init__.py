@@ -20,7 +20,6 @@ from .device import (
     FlashDevice,
     FlashSnapshot,
     TappedFlashDevice,
-    is_plain_device,
 )
 from .errors import (
     BlockWornOutError,
@@ -64,7 +63,6 @@ __all__ = [
     "SpareArea",
     "TappedFlashDevice",
     "WriteToNonFreePageError",
-    "is_plain_device",
     "paper_configuration",
     "simulation_configuration",
 ]

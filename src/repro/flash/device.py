@@ -25,8 +25,11 @@ top of the same columns:
   read/write/GC hot loops use these.
 
 :class:`TappedFlashDevice` is the one subclass: it feeds every charged
-operation to the timing clock and/or the observer, and
-:func:`is_plain_device` tells callers when inlining the primitives is sound.
+operation to the timing clock and/or the observer. The FTL's fused write,
+synchronization and GC-migration loops and Gecko's page storage poke the
+columns directly on plain and tapped devices alike; they fetch the tap
+tuple once with :func:`device_taps` and call each tap at the point the
+overrides would.
 """
 
 from __future__ import annotations
@@ -398,26 +401,6 @@ class FlashDevice:
         return self
 
 
-#: Every charged flash operation runs through one of these primitives
-#: (``write_page`` and the GC/recovery helpers funnel into them).
-_CHARGED_PRIMITIVES = ("read_page", "read_page_data", "read_page_record",
-                       "write_page_tagged", "write_pages_tagged",
-                       "read_spare", "read_spare_logical", "erase_block")
-
-
-def is_plain_device(device: FlashDevice) -> bool:
-    """Whether ``device`` runs :class:`FlashDevice`'s own charged primitives.
-
-    The FTL submit and GC-migration fast paths and Gecko's page storage
-    inline those primitives, which is only sound when no subclass override
-    (such as :class:`TappedFlashDevice`) needs to see every operation.
-    Method identity is the test, so it is evaluated once, at construction.
-    """
-    cls = type(device)
-    return all(getattr(cls, name) is getattr(FlashDevice, name)
-               for name in _CHARGED_PRIMITIVES)
-
-
 _PAGE_READ, _PAGE_WRITE = IOKind.PAGE_READ, IOKind.PAGE_WRITE
 _SPARE_READ, _BLOCK_ERASE = IOKind.SPARE_READ, IOKind.BLOCK_ERASE
 
@@ -436,9 +419,11 @@ class TappedFlashDevice(FlashDevice):
     windowed latency percentiles stay consistent with the window's ops.
 
     The device stays IO-trace identical to the plain one (same stats, same
-    flash state, same exceptions) and merely watches the stream. The plain
-    :class:`FlashDevice` carries no tap slot and no hook check, so
-    simulations without taps keep the exact fast paths.
+    flash state, same exceptions) and merely watches the stream. The
+    overrides serve the callers that are not fused (per-op ``write()``,
+    trim, the translation table, recovery); the fused FTL loops take the
+    same tap tuple from :func:`device_taps` and call it themselves. The
+    plain :class:`FlashDevice` carries no tap slot at all.
     """
 
     __slots__ = ("timing", "obs", "_taps")
@@ -525,3 +510,24 @@ class TappedFlashDevice(FlashDevice):
         FlashDevice.erase_block(self, block_id, purpose)
         for tap in self._taps:
             tap(_BLOCK_ERASE, block_id, purpose)
+
+
+def device_taps(device: FlashDevice) -> Tuple[Any, ...]:
+    """The taps the fused FTL paths call per charged op; ``()`` if plain.
+
+    The fused paths poke the device columns directly, bump the
+    :class:`IOStats` counter, then call ``tap(kind, block, purpose)`` for
+    each tap, which is exactly what :class:`TappedFlashDevice`'s overrides
+    do. Any other override of a charged primitive would be skipped without
+    a trace, so such a device class raises :class:`TypeError` here, once,
+    when an FTL or Gecko storage is built on it.
+    """
+    cls = type(device)
+    for name, override in vars(TappedFlashDevice).items():
+        if callable(override) and name != "__init__" and getattr(cls, name) \
+                not in (override, getattr(FlashDevice, name)):
+            raise TypeError(
+                f"{cls.__name__} overrides the charged primitive {name}(); "
+                "the fused FTL paths would bypass it. Observe flash "
+                "operations through TappedFlashDevice's taps instead")
+    return getattr(device, "_taps", ())

@@ -26,9 +26,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..flash.address import LogicalAddress, PhysicalAddress
 from ..flash.block import _intern_block_type
 from ..flash.config import DeviceConfig
-from ..flash.device import FlashDevice, is_plain_device
+from ..flash.device import FlashDevice, device_taps
 from ..flash.errors import ReadFreePageError
-from ..flash.stats import IOPurpose, IOStats
+from ..flash.stats import IOKind, IOPurpose, IOStats
 from .block_manager import BlockManager, BlockType
 from .bvc import BlockValidityCounter
 from .garbage_collector import GarbageCollector, VictimPolicy
@@ -45,6 +45,8 @@ _USER_TYPE = BlockType.USER.value
 #: Its interned column code, resolved once at import for the inlined paths.
 _USER_CODE = _intern_block_type(_USER_TYPE)
 
+_PAGE_READ, _PAGE_WRITE = IOKind.PAGE_READ, IOKind.PAGE_WRITE
+
 
 class PageMappedFTL:
     """Base class for all page-associative FTLs in this repository.
@@ -53,8 +55,9 @@ class PageMappedFTL:
     trim, GC migration and recovery — addresses physical pages by their
     linear number ``block * pages_per_block + page`` (see
     :mod:`repro.ftl.translation_table`). A :class:`PhysicalAddress` is made
-    only for a flash primitive on a tapped device or for a validity store,
-    and the plain-device paths split the int with ``divmod`` instead.
+    only at the edges (``write()``'s return value, the flash primitives the
+    fused paths do not inline, a validity store); the fused paths split the
+    int with ``divmod`` instead.
     """
 
     #: Human-readable name used in benchmark reports.
@@ -71,6 +74,13 @@ class PageMappedFTL:
                  free_block_threshold: int = 6,
                  gc_reserve_blocks: int = 4,
                  enable_wear_leveling: bool = False) -> None:
+        #: The device's taps (clock, then observer; ``()`` on a plain
+        #: device). The fused paths poke the device columns directly and
+        #: call each tap right after bumping the IOStats counter, the same
+        #: point at which TappedFlashDevice's overrides call them. Each tap
+        #: loop sits behind ``if taps:``, which costs a plain run about a
+        #: quarter of what iterating the empty tuple would.
+        self._taps = device_taps(device)
         self.device = device
         self.config: DeviceConfig = device.config
         self.stats: IOStats = device.stats
@@ -105,9 +115,6 @@ class PageMappedFTL:
         # timing branch below stays a single predictable ``is not None``
         # check.
         self.timing = getattr(device, "timing", None)
-        # A tapped device must keep seeing every flash operation, so the
-        # inlined submit/GC-migration fast paths run only on a plain one.
-        self._plain_device = is_plain_device(device)
         # Same discovery idiom for the observability layer: only the tapped
         # device carries an ``obs`` slot. By this point every hooked
         # structure (garbage collector, validity store — hence GeckoFTL's
@@ -163,15 +170,21 @@ class PageMappedFTL:
             # write loads the device at the request's arrival time — that is
             # precisely the head-of-line blocking behind GC tail spikes.
             timing.begin_request("write")
-        self.stats.record_host_write()
-        self._maybe_collect()
-        new_address = self._program_user_page(logical, data, IOPurpose.USER)
-        self._update_mapping_on_write(
-            logical, new_address[0] * self._pages_per_block + new_address[1])
-        if self.wear_leveler is not None:
-            self.wear_leveler.on_flash_write()
-        self._after_write(logical)
-        self._enforce_dirty_limit()
+        try:
+            self.stats.record_host_write()
+            self._maybe_collect()
+            new_address = self._program_user_page(logical, data,
+                                                   IOPurpose.USER)
+            self._update_mapping_on_write(
+                logical,
+                new_address[0] * self._pages_per_block + new_address[1])
+            if self.wear_leveler is not None:
+                self.wear_leveler.on_flash_write()
+            self._after_write(logical)
+            self._enforce_dirty_limit()
+        except BaseException:
+            self._abort_request()
+            raise
         if timing is not None:
             timing.end_request()
         return new_address
@@ -185,32 +198,36 @@ class PageMappedFTL:
         timing = self.timing
         if timing is not None:
             timing.begin_request("read")
-        self.stats.record_host_read()
-        entry = self.cache.get(logical)
-        if entry is None:
-            physical = self.translation_table.lookup(
-                logical, purpose=IOPurpose.TRANSLATION)
-            if physical is None:
-                if timing is not None:
-                    timing.end_request()
-                return None
-            entry = CachedMapping(logical, physical, dirty=False, uip=False,
-                                  in_flash=True)
-            self.cache.put(entry)
-            self._evict_if_over_capacity()
-        block_id, offset = divmod(entry.physical, self._pages_per_block)
-        if self._plain_device:
-            # Inlined read_page_data: a mapped page is in range by
-            # construction, so only the programmed check remains.
-            block = self.device.blocks[block_id]
-            if offset >= block.next_free_offset:
-                raise ReadFreePageError(f"{PhysicalAddress(block_id, offset)}"
-                                        " has not been programmed")
-            self.stats.page_read_counts[IOPurpose.USER] += 1
-            value = block._data.get(offset)
-        else:
-            value = self.device.read_page_data(
-                PhysicalAddress(block_id, offset), purpose=IOPurpose.USER)
+        try:
+            self.stats.record_host_read()
+            entry = self.cache.get(logical)
+            if entry is None:
+                physical = self.translation_table.lookup(
+                    logical, purpose=IOPurpose.TRANSLATION)
+                if physical is not None:
+                    entry = CachedMapping(logical, physical, dirty=False,
+                                          uip=False, in_flash=True)
+                    self.cache.put(entry)
+                    self._evict_if_over_capacity()
+            value = None
+            if entry is not None:
+                # Inlined read_page_data: a mapped page is in range by
+                # construction, so only the programmed check remains.
+                block_id, offset = divmod(entry.physical,
+                                          self._pages_per_block)
+                block = self.device.blocks[block_id]
+                if offset >= block.next_free_offset:
+                    raise ReadFreePageError(
+                        f"{PhysicalAddress(block_id, offset)} has not been "
+                        "programmed")
+                self.stats.page_read_counts[IOPurpose.USER] += 1
+                if self._taps:
+                    for tap in self._taps:
+                        tap(_PAGE_READ, block_id, IOPurpose.USER)
+                value = block._data.get(offset)
+        except BaseException:
+            self._abort_request()
+            raise
         if timing is not None:
             timing.end_request()
         return value
@@ -221,33 +238,45 @@ class PageMappedFTL:
         timing = self.timing
         if timing is not None:
             timing.begin_request("trim")
-        entry = self.cache.remove(logical)
-        physical = entry.physical if entry is not None else None
-        if physical is None:
-            physical = self.translation_table.lookup(
-                logical, purpose=IOPurpose.TRANSLATION)
-        if physical is not None:
-            block_id, offset = divmod(physical, self._pages_per_block)
-            self.validity_store.mark_invalid(PhysicalAddress(block_id, offset))
-            self.bvc.decrement(block_id)
-            if entry is not None and entry.in_flash is False:
-                # The mapping only ever existed as a cached entry that was
-                # never synchronized: the flash-resident translation page
-                # holds nothing to remove, so charge no translation IO.
-                if timing is not None:
-                    timing.end_request()
-                return
-            table = self.translation_table
-            content = table.read_translation_page(
-                table.translation_page_of(logical),
-                purpose=IOPurpose.TRANSLATION)
-            slot = logical % table.entries_per_page
-            if content.entries[slot] >= 0:
-                content.entries[slot] = UNMAPPED
-                table.write_translation_page(content,
-                                             purpose=IOPurpose.TRANSLATION)
+        try:
+            entry = self.cache.remove(logical)
+            physical = entry.physical if entry is not None else None
+            if physical is None:
+                physical = self.translation_table.lookup(
+                    logical, purpose=IOPurpose.TRANSLATION)
+            if physical is not None:
+                block_id, offset = divmod(physical, self._pages_per_block)
+                self.validity_store.mark_invalid(
+                    PhysicalAddress(block_id, offset))
+                self.bvc.decrement(block_id)
+                # A mapping that only ever existed as a cached entry that was
+                # never synchronized leaves nothing to remove from the
+                # flash-resident translation page, so it charges no IO.
+                if entry is None or entry.in_flash is not False:
+                    table = self.translation_table
+                    content = table.read_translation_page(
+                        table.translation_page_of(logical),
+                        purpose=IOPurpose.TRANSLATION)
+                    slot = logical % table.entries_per_page
+                    if content.entries[slot] >= 0:
+                        content.entries[slot] = UNMAPPED
+                        table.write_translation_page(
+                            content, purpose=IOPurpose.TRANSLATION)
+        except BaseException:
+            self._abort_request()
+            raise
         if timing is not None:
             timing.end_request()
+
+    def _abort_request(self) -> None:
+        """Close the request a raising host op leaves open.
+
+        Without this every later request would nest into the dead one and
+        record no latency sample. Work already dispatched stays on the
+        clock (see :meth:`~repro.timing.model.TimingModel.abort_request`).
+        """
+        if self.timing is not None:
+            self.timing.abort_request()
 
     def flush(self) -> None:
         """Synchronize every dirty cached mapping entry with flash.
@@ -287,26 +316,24 @@ class PageMappedFTL:
         Batch resolution happens in one pass over the submitted operations:
         consecutive operations of the same kind are grouped into *runs* by a
         single scan (bulk list slicing), so the kind dispatch is paid once
-        per run instead of once per op. On a plain :class:`FlashDevice`
-        (no taps), the write-run handler additionally inlines
-        the whole program-and-map sequence — active-block cursor, packed
-        state-word set, column stores, write clock, BVC bump and IO
+        per run instead of once per op. The write-run handler additionally
+        inlines the whole program-and-map sequence — active-block cursor,
+        packed state-word set, column stores, write clock, BVC bump and IO
         accounting are poked directly instead of through five method calls
         per page. Mapping updates keep their exact per-op interleaving with
         flash IO (cache evictions and translation synchronization happen at
         precisely the same points), which is what keeps the submit goldens
-        bit-identical. A :class:`~repro.flash.device.TappedFlashDevice`
-        (timing, observability) takes the per-op path so its taps see every
-        program operation.
+        bit-identical. On a :class:`~repro.flash.device.TappedFlashDevice`
+        (timing, observability) the same loop opens and closes one timing
+        request per write and calls the device's taps right after each
+        program's counter bump, so the taps see the stream the per-op path
+        would show them.
         """
         stats = self.stats
         before = stats.snapshot()
         writes = reads = trims = 0
         payloads: Optional[List[Any]] = [] if collect_payloads else None
         logical_pages = self.config.logical_pages
-        record_host_write = stats.record_host_write
-        needs_collection = self.garbage_collector.needs_collection
-        program_user_page = self._program_user_page
         update_mapping = self._update_mapping_on_write
         after_write = (self._after_write
                        if type(self)._after_write
@@ -315,35 +342,34 @@ class PageMappedFTL:
         enforce_dirty = (self._enforce_dirty_limit
                          if self.dirty_fraction_limit is not None else None)
         timing = self.timing
-        device = self.device
+        taps = self._taps
         user_purpose = IOPurpose.USER
         write_kind, read_kind, trim_kind = OpKind.WRITE, OpKind.READ, OpKind.TRIM
         pages_per_block = self._pages_per_block
-        fast = self._plain_device
-        if fast:
-            blocks = device.blocks
-            block_manager = self.block_manager
-            active_blocks = block_manager.active_blocks
-            open_block = block_manager._open_new_active_block
-            free_blocks = block_manager.free_blocks
-            threshold = self.garbage_collector.free_block_threshold
-            write_counts = stats.page_write_counts
-            bvc_counts = self.bvc._counts
-            user_code = _USER_CODE
-            user_type = BlockType.USER
+        device = self.device
+        blocks = device.blocks
+        block_manager = self.block_manager
+        active_blocks = block_manager.active_blocks
+        open_block = block_manager._open_new_active_block
+        free_blocks = block_manager.free_blocks
+        threshold = self.garbage_collector.free_block_threshold
+        write_counts = stats.page_write_counts
+        bvc_counts = self.bvc._counts
+        user_code = _USER_CODE
+        user_type = BlockType.USER
         operations = batch if isinstance(batch, list) else list(batch)
         total = len(operations)
         index = 0
-        while index < total:
-            kind = operations[index].kind
-            if kind is write_kind:
-                run_end = index + 1
-                while (run_end < total
-                       and operations[run_end].kind is write_kind):
-                    run_end += 1
-                run = (operations if index == 0 and run_end == total
-                       else operations[index:run_end])
-                if fast:
+        try:
+            while index < total:
+                kind = operations[index].kind
+                if kind is write_kind:
+                    run_end = index + 1
+                    while (run_end < total
+                           and operations[run_end].kind is write_kind):
+                        run_end += 1
+                    run = (operations if index == 0 and run_end == total
+                           else operations[index:run_end])
                     for operation in run:
                         logical = operation.logical
                         if not 0 <= logical < logical_pages:
@@ -351,6 +377,8 @@ class PageMappedFTL:
                                 f"logical page {logical} outside the "
                                 f"device's logical space of {logical_pages} "
                                 f"pages")
+                        if timing is not None:
+                            timing.begin_request("write")
                         stats.host_writes += 1
                         if len(free_blocks) < threshold:
                             self._maybe_collect()
@@ -377,6 +405,9 @@ class PageMappedFTL:
                             block._data[offset] = data
                         block.next_free_offset = offset + 1
                         write_counts[user_purpose] += 1
+                        if taps:
+                            for tap in taps:
+                                tap(_PAGE_WRITE, active_id, user_purpose)
                         bvc_counts[active_id] += 1
                         update_mapping(logical,
                                        active_id * pages_per_block + offset)
@@ -386,45 +417,25 @@ class PageMappedFTL:
                             after_write(logical)
                         if enforce_dirty is not None:
                             enforce_dirty()
-                else:
-                    for operation in run:
-                        logical = operation.logical
-                        if not 0 <= logical < logical_pages:
-                            raise ValueError(
-                                f"logical page {logical} outside the "
-                                f"device's logical space of {logical_pages} "
-                                f"pages")
-                        if timing is not None:
-                            timing.begin_request("write")
-                        record_host_write()
-                        if not self._in_gc and needs_collection():
-                            self._maybe_collect()
-                        new_address = program_user_page(
-                            logical, operation.payload, user_purpose)
-                        update_mapping(logical, new_address[0]
-                                       * pages_per_block + new_address[1])
-                        if wear_leveler is not None:
-                            wear_leveler.on_flash_write()
-                        if after_write is not None:
-                            after_write(logical)
-                        if enforce_dirty is not None:
-                            enforce_dirty()
                         if timing is not None:
                             timing.end_request()
-                writes += run_end - index
-                index = run_end
-            elif kind is read_kind:
-                reads += 1
-                value = self.read(operations[index].logical)
-                if payloads is not None:
-                    payloads.append(value)
-                index += 1
-            elif kind is trim_kind:
-                trims += 1
-                self.trim(operations[index].logical)
-                index += 1
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown operation kind {kind}")
+                    writes += run_end - index
+                    index = run_end
+                elif kind is read_kind:
+                    reads += 1
+                    value = self.read(operations[index].logical)
+                    if payloads is not None:
+                        payloads.append(value)
+                    index += 1
+                elif kind is trim_kind:
+                    trims += 1
+                    self.trim(operations[index].logical)
+                    index += 1
+                else:  # pragma: no cover - defensive
+                    raise ValueError(f"unknown operation kind {kind}")
+        except BaseException:
+            self._abort_request()
+            raise
         return BatchResult(submitted=index, host_writes=writes,
                            host_reads=reads, host_trims=trims,
                            stats_delta=stats.diff(before), payloads=payloads)
@@ -590,57 +601,52 @@ class PageMappedFTL:
         Migrations are treated like application writes: the new location is
         recorded as a dirty cached mapping entry and synchronized lazily.
 
-        On a plain device the read-allocate-program sequence is inlined (the
-        same column pokes as the submit fast path, charged to the GC
-        purpose): migrations run once per live page of every victim, which
-        makes this the hottest call chain of the whole collector.
+        The read-allocate-program sequence is inlined (the same column
+        pokes as the submit write loop, charged to the GC purpose, with the
+        device's taps called after each counter bump): migrations run once
+        per live page of every victim, which makes this the hottest call
+        chain of the whole collector.
         """
         device = self.device
+        taps = self._taps
         pages_per_block = self._pages_per_block
         block_id, offset = divmod(old_physical, pages_per_block)
-        if self._plain_device:
-            block = device.blocks[block_id]
-            # Inlined read_page_record: GC only visits written offsets, so
-            # the cursor check is the only validation needed.
-            if offset >= block.next_free_offset:
-                raise ReadFreePageError(
-                    f"{PhysicalAddress(block_id, offset)} has not been "
-                    "programmed")
-            stats = device.stats
-            stats.page_read_counts[IOPurpose.GC] += 1
-            tag = block._logical[offset]
-            logical = tag if tag >= 0 else None
-            data = block._data.get(offset)
-            # Inlined allocate_page(USER, use_reserve=True) + program.
-            manager = self.block_manager
-            active_id = manager.active_blocks[BlockType.USER]
-            if active_id is None \
-                    or device.blocks[active_id].next_free_offset \
-                    >= block.pages_per_block:
-                active_id = manager._open_new_active_block(
-                    BlockType.USER, True)
-            target = device.blocks[active_id]
-            new_offset = target.next_free_offset
-            device._write_clock = timestamp = device._write_clock + 1
-            target._state_words[new_offset >> 6] |= 1 << (new_offset & 63)
-            target._logical[new_offset] = tag
-            target._timestamp[new_offset] = timestamp
-            target._type_code[new_offset] = _USER_CODE
-            if data is not None:
-                target._data[new_offset] = data
-            target.next_free_offset = new_offset + 1
-            stats.page_write_counts[IOPurpose.GC] += 1
-            self.bvc._counts[active_id] += 1
-        else:
-            data, logical = device.read_page_record(
-                PhysicalAddress(block_id, offset), purpose=IOPurpose.GC)
-            new_address = self.block_manager.allocate_page(BlockType.USER,
-                                                           use_reserve=True)
-            device.write_page_tagged(new_address, data, logical=logical,
-                                     block_type=_USER_TYPE,
-                                     purpose=IOPurpose.GC)
-            active_id, new_offset = new_address
-            self.bvc.increment(active_id)
+        block = device.blocks[block_id]
+        # Inlined read_page_record: GC only visits written offsets, so the
+        # cursor check is the only validation needed.
+        if offset >= block.next_free_offset:
+            raise ReadFreePageError(
+                f"{PhysicalAddress(block_id, offset)} has not been programmed")
+        stats = device.stats
+        stats.page_read_counts[IOPurpose.GC] += 1
+        if taps:
+            for tap in taps:
+                tap(_PAGE_READ, block_id, IOPurpose.GC)
+        tag = block._logical[offset]
+        logical = tag if tag >= 0 else None
+        data = block._data.get(offset)
+        # Inlined allocate_page(USER, use_reserve=True) + program.
+        manager = self.block_manager
+        active_id = manager.active_blocks[BlockType.USER]
+        if active_id is None \
+                or device.blocks[active_id].next_free_offset \
+                >= block.pages_per_block:
+            active_id = manager._open_new_active_block(BlockType.USER, True)
+        target = device.blocks[active_id]
+        new_offset = target.next_free_offset
+        device._write_clock = timestamp = device._write_clock + 1
+        target._state_words[new_offset >> 6] |= 1 << (new_offset & 63)
+        target._logical[new_offset] = tag
+        target._timestamp[new_offset] = timestamp
+        target._type_code[new_offset] = _USER_CODE
+        if data is not None:
+            target._data[new_offset] = data
+        target.next_free_offset = new_offset + 1
+        stats.page_write_counts[IOPurpose.GC] += 1
+        if taps:
+            for tap in taps:
+                tap(_PAGE_WRITE, active_id, IOPurpose.GC)
+        self.bvc._counts[active_id] += 1
         new_physical = active_id * pages_per_block + new_offset
         # Inlined cache update (get-hit refresh / put of an absent key):
         # migrations run under _in_gc, so evictions are deferred anyway.

@@ -150,7 +150,7 @@ class TimingModel:
         return self._depth > 0
 
     # ------------------------------------------------------------------
-    # Operation recording (called by TappedFlashDevice)
+    # Operation recording (a device tap, called once per charged op)
     # ------------------------------------------------------------------
     def record(self, kind: IOKind, block_id: int,
                purpose: IOPurpose) -> None:
